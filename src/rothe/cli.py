@@ -35,32 +35,9 @@ from .reconstruct import (
     find_free_step_outs,
     place_free_columns,
 )
-from .rules import (
-    check_dot_rule,
-    check_empty_cell_gap,
-    check_horizontal_popping,
-    check_numbering,
-    check_rothe,
-    check_southwest,
-    check_vertical_popping,
-    classify,
-    find_step_outs,
-    horizontal_numbering,
-    row_dots,
-)
+from .rules import RULES, classify, horizontal_numbering, row_dots
 
 __all__ = ["RenderOptions", "main", "render_diagram", "run"]
-
-CHECKERS = {
-    "southwest": check_southwest,
-    "dot": check_dot_rule,
-    "vertical_popping": check_vertical_popping,
-    "horizontal_popping": check_horizontal_popping,
-    "numbering": check_numbering,
-    "step_out": find_step_outs,
-    "empty_cell_gap": check_empty_cell_gap,
-    "is_rothe": check_rothe,
-}
 
 DEFAULT_SIZE = 6
 DEFAULT_GRID = "3x3"
@@ -201,11 +178,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         reports = classify(diagram)
     else:
         names = [name.strip() for name in args.rules.split(",") if name.strip()]
-        unknown = [name for name in names if name not in CHECKERS]
+        unknown = [name for name in names if name not in RULES]
         if unknown:
-            known = ", ".join(CHECKERS)
+            known = ", ".join(RULES)
             raise ValueError(f"unknown rule {unknown[0]!r} (known: {known})")
-        reports = [CHECKERS[name](diagram) for name in names]
+        reports = [RULES[name](diagram) for name in names]
     _print_json([report.to_json_obj() for report in reports])
     return 0 if all(report.holds for report in reports) else 1
 
@@ -222,15 +199,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_place(args: argparse.Namespace) -> int:
     collection = FreeColumns.from_json_obj(json.loads(_read_source(args.columns)))
-    numbering = check_free_numbering(collection)
-    if not numbering.holds:
-        _print_json(numbering.to_json_obj())
+    placed = place_free_columns(collection)
+    if placed is None:
+        report = check_free_numbering(collection)
+        if report.holds:
+            report = find_free_step_outs(collection)
+        _print_json(report.to_json_obj())
         return 1
-    step_outs = find_free_step_outs(collection)
-    if not step_outs.holds:
-        _print_json(step_outs.to_json_obj())
-        return 1
-    placement, diagram = place_free_columns(collection)
+    placement, diagram = placed
     _print_json(placement.to_json_obj())
     _print_json(diagram.to_json_obj())
     return 0
@@ -340,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    # RecursionError is JSON input nested deeper than the decoder can follow.
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

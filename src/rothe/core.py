@@ -18,11 +18,18 @@ Conventions used throughout the package:
 * A Lehmer code is a finite sequence of nonnegative integers; entry
   ``a_i`` counts the inversions starting at position ``i`` and equals the
   number of bubbles in row ``i`` of the diagram.
+
+Dots are defined on the infinite grid.  The greedy dot scan below therefore
+runs to a horizon of twice the diagram's largest coordinate plus two;
+beyond the occupied rows the greedy placement provably settles into
+"smallest unused column" behavior, which leaves both dot sets on the
+diagonal past the horizon.  Comparing the two finite windows is thus
+equivalent to comparing the infinite sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -45,6 +52,33 @@ Cell = tuple[int, int]
 
 class ParseError(ValueError):
     """Raised when permutation text cannot be parsed."""
+
+
+class StabilizationError(RuntimeError):
+    """The dot computation failed to settle before its horizon (internal bug)."""
+
+
+def _is_int(value: object) -> bool:
+    """An integer that is not a bool, so JSON ``true`` is never read as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_value(value: object) -> object:
+    """JSON form of a value: dataclasses as field dicts, tuples as lists."""
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+class _FieldsJson:
+    """Mixin for dataclasses whose JSON form is every field, tuples as lists."""
+
+    def to_json_obj(self) -> dict:
+        return _json_value(self)
 
 
 @dataclass(frozen=True)
@@ -182,7 +216,7 @@ class Diagram:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, int) for v in entry)
+                or not all(_is_int(v) for v in entry)
             ):
                 raise ValueError(f"cell entry {entry!r} is not a [row, col] pair")
             cells.append((entry[0], entry[1]))
@@ -192,7 +226,7 @@ class Diagram:
 
 
 @dataclass(frozen=True)
-class LehmerCode:
+class LehmerCode(_FieldsJson):
     """A finite sequence of nonnegative integers, trailing zeros trimmed.
 
     >>> LehmerCode.from_counts([1, 2, 0, 0]).counts
@@ -216,15 +250,12 @@ class LehmerCode:
             counts = counts[:-1]
         return cls(counts)
 
-    def to_json_obj(self) -> dict:
-        return {"counts": list(self.counts)}
-
     @classmethod
     def from_json_obj(cls, obj: object) -> "LehmerCode":
         if not isinstance(obj, dict) or "counts" not in obj:
             raise ValueError('code JSON must be an object with a "counts" key')
         raw = obj["counts"]
-        if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+        if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
             raise ValueError('"counts" must be a list of integers')
         return cls.from_counts(raw)
 
@@ -257,7 +288,7 @@ def parse_permutation(text: str) -> Permutation:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParseError("empty input: expected at least one value")
-    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdigit():
+    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isascii() and tokens[0].isdigit():
         values = []
         for pos, ch in enumerate(tokens[0], 1):
             if ch == "0":
@@ -266,7 +297,7 @@ def parse_permutation(text: str) -> Permutation:
     else:
         values = []
         for pos, tok in enumerate(tokens, 1):
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise ParseError(f"non-numeric token {tok!r} at position {pos}")
             value = int(tok)
             if value < 1:
@@ -371,11 +402,47 @@ def row_counts(diagram: Diagram) -> LehmerCode:
     return LehmerCode.from_counts(counts)
 
 
+def _greedy_dot_columns(diagram: Diagram, horizon: int) -> list[int]:
+    """Column of the dot in each row 1..horizon, scanning bottom up.
+
+    Each dot takes the smallest column strictly right of every bubble in
+    its row and not used by a lower dot.  After the occupied part of the
+    grid the result must be the plain smallest-unused column; that tail
+    behavior is verified explicitly.
+    """
+    row_reach: dict[int, int] = {}
+    for r, c in diagram.cells:
+        row_reach[r] = max(row_reach.get(r, 0), c)
+    used: set[int] = set()
+    columns: list[int] = []
+    for row in range(1, horizon + 1):
+        col = row_reach.get(row, 0) + 1
+        while col in used:
+            col += 1
+        used.add(col)
+        columns.append(col)
+    top = diagram.max_coordinate
+    seen: set[int] = set()
+    for row, col in enumerate(columns, 1):
+        if row > top:
+            expect = 1
+            while expect in seen:
+                expect += 1
+            if col != expect:
+                raise StabilizationError(
+                    f"row {row} received column {col}, expected minimal unused {expect}"
+                )
+        seen.add(col)
+    return columns
+
+
+def _horizon(diagram: Diagram) -> int:
+    return 2 * diagram.max_coordinate + 2
+
+
 def _dot_reading(diagram: Diagram) -> Permutation:
     """The candidate permutation read off the columns of the row dots."""
-    from .rules import row_dots
-
-    return Permutation.from_word(c for _, c in row_dots(diagram).dots)
+    return Permutation.from_word(_greedy_dot_columns(diagram, _horizon(diagram)))
 
 
 def recover_permutation(diagram: Diagram) -> Optional[Permutation]:

@@ -15,8 +15,10 @@ from itertools import permutations as _lex_words
 from typing import Iterator
 
 from .core import (
+    Cell,
     Diagram,
     Permutation,
+    _FieldsJson,
     lehmer_code,
     permutation_from_lehmer,
     rothe_diagram,
@@ -51,27 +53,35 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation.from_word(word)
 
 
-def enumerate_grid_diagrams(rows: int, cols: int) -> Iterator[Diagram]:
-    """Every subset of the rows-by-cols grid as a diagram, smallest mask first.
-
-    >>> sum(1 for _ in enumerate_grid_diagrams(2, 2))
-    16
-    """
+def _grid_positions(rows: int, cols: int) -> list[Cell]:
+    """The cells of the rows-by-cols grid, one per mask bit, within the size cap."""
     if rows < 1 or cols < 1:
         raise ValueError(f"grid must be at least 1x1, got {rows}x{cols}")
     if rows * cols > MAX_GRID_CELLS:
         raise ValueError(
             f"{rows}x{cols} grid has {rows * cols} cells, refusing more than {MAX_GRID_CELLS}"
         )
-    positions = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    return [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+
+
+def _mask_diagram(positions: list[Cell], mask: int) -> Diagram:
+    """The diagram holding the positions whose bits are set in ``mask``."""
+    return Diagram(frozenset(pos for bit, pos in enumerate(positions) if mask >> bit & 1))
+
+
+def enumerate_grid_diagrams(rows: int, cols: int) -> Iterator[Diagram]:
+    """Every subset of the rows-by-cols grid as a diagram, smallest mask first.
+
+    >>> sum(1 for _ in enumerate_grid_diagrams(2, 2))
+    16
+    """
+    positions = _grid_positions(rows, cols)
     for mask in range(1 << len(positions)):
-        yield Diagram(
-            frozenset(pos for bit, pos in enumerate(positions) if mask >> bit & 1)
-        )
+        yield _mask_diagram(positions, mask)
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_FieldsJson):
     """Outcome of checking the five equivalent conditions over a grid."""
 
     bounds: str
@@ -81,28 +91,16 @@ class EquivalenceReport:
     counterexample_total: int
     elapsed_ms: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "bounds": self.bounds,
-            "examined": self.examined,
-            "counts": dict(self.counts),
-            "counterexamples": [dict(ce) for ce in self.counterexamples],
-            "counterexample_total": self.counterexample_total,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
 
 def _characterization_chunk(rows: int, cols: int, lo: int, hi: int) -> tuple:
     """Scan grid masks lo..hi-1; must stay importable for worker processes."""
-    positions = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    positions = _grid_positions(rows, cols)
     counts: dict[str, int] = {}
     counterexamples: list[dict] = []
     total = 0
     examined = 0
     for mask in range(lo, hi):
-        diagram = Diagram(
-            frozenset(pos for bit, pos in enumerate(positions) if mask >> bit & 1)
-        )
+        diagram = _mask_diagram(positions, mask)
         verdicts = condition_verdicts(diagram)
         examined += 1
         for key, value in verdicts.items():
@@ -110,12 +108,7 @@ def _characterization_chunk(rows: int, cols: int, lo: int, hi: int) -> tuple:
         if len(set(verdicts.values())) > 1:
             total += 1
             if len(counterexamples) < COUNTEREXAMPLE_CAP:
-                counterexamples.append(
-                    {
-                        "cells": [list(c) for c in diagram.sorted_cells],
-                        "verdicts": verdicts,
-                    }
-                )
+                counterexamples.append({**diagram.to_json_obj(), "verdicts": verdicts})
     return counts, counterexamples, total, examined
 
 
@@ -126,10 +119,8 @@ def verify_characterizations(rows: int, cols: int, jobs: int = 1) -> Equivalence
     is identical either way.  Counterexamples are capped at
     ``COUNTEREXAMPLE_CAP`` entries but always counted in full.
     """
-    for _ in enumerate_grid_diagrams(rows, cols):
-        break  # reuse the enumeration guards
+    size = 1 << len(_grid_positions(rows, cols))
     started = time.perf_counter()
-    size = 1 << (rows * cols)
     if jobs <= 1:
         pieces = [_characterization_chunk(rows, cols, 0, size)]
     else:
@@ -165,7 +156,7 @@ def verify_characterizations(rows: int, cols: int, jobs: int = 1) -> Equivalence
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_FieldsJson):
     """Outcome of a per-permutation sweep."""
 
     bounds: str
@@ -173,15 +164,6 @@ class SweepReport:
     failures: tuple[dict, ...]
     failure_total: int
     elapsed_ms: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "bounds": self.bounds,
-            "checked": self.checked,
-            "failures": [dict(f) for f in self.failures],
-            "failure_total": self.failure_total,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def verify_lehmer_bijection(n: int) -> SweepReport:

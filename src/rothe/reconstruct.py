@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable
 
-from .core import Cell, CodeLike, Diagram, _as_counts, recover_permutation
-from .rules import NumberingRequiredError, RuleReport
+from .core import Cell, CodeLike, Diagram, _as_counts, _FieldsJson, _is_int, recover_permutation
+from .rules import NumberingRequiredError, RuleReport, _step_outs
 
 __all__ = [
     "FreeColumns",
@@ -43,7 +43,7 @@ class FreeColumns:
             if not col:
                 raise ValueError(f"column {index} is empty")
             for row in col:
-                if not isinstance(row, int) or isinstance(row, bool) or row < 1:
+                if not _is_int(row) or row < 1:
                     raise ValueError(f"column {index} has invalid row {row!r}")
 
     @classmethod
@@ -72,7 +72,7 @@ class FreeColumns:
 
 
 @dataclass(frozen=True)
-class Placement:
+class Placement(_FieldsJson):
     """Column positions produced by a successful placement, left to right."""
 
     positions: tuple[int, ...] = ()
@@ -80,13 +80,10 @@ class Placement:
     def __post_init__(self) -> None:
         positions = tuple(self.positions)
         object.__setattr__(self, "positions", positions)
-        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in positions):
+        if any(not _is_int(p) or p < 1 for p in positions):
             raise ValueError(f"positions must be positive integers: {positions}")
         if any(b <= a for a, b in pairwise(positions)):
             raise ValueError(f"positions must strictly increase: {positions}")
-
-    def to_json_obj(self) -> dict:
-        return {"positions": list(self.positions)}
 
 
 def build_from_row_counts(counts: CodeLike) -> Diagram:
@@ -163,14 +160,7 @@ def _free_labels(collection: FreeColumns) -> dict[Cell, int]:
     return labels
 
 
-def check_free_numbering(collection: FreeColumns) -> RuleReport:
-    """Can each column's labels double as a bottom-to-top count from its start?
-
-    Within every column the labels must climb by exactly one per bubble,
-    and the runs must start strictly later from one column to the next;
-    witnesses are the offending bubble pairs in (row, column index) form.
-    """
-    labels = _free_labels(collection)
+def _free_numbering(collection: FreeColumns, labels: dict[Cell, int]) -> RuleReport:
     witnesses = []
     for index, col in enumerate(collection.columns, 1):
         rows = sorted(col)
@@ -184,28 +174,28 @@ def check_free_numbering(collection: FreeColumns) -> RuleReport:
     return RuleReport("free_numbering", tuple(sorted(witnesses)))
 
 
+def check_free_numbering(collection: FreeColumns) -> RuleReport:
+    """Can each column's labels double as a bottom-to-top count from its start?
+
+    Within every column the labels must climb by exactly one per bubble,
+    and the runs must start strictly later from one column to the next;
+    witnesses are the offending bubble pairs in (row, column index) form.
+    """
+    return _free_numbering(collection, _free_labels(collection))
+
+
 def find_free_step_outs(collection: FreeColumns) -> RuleReport:
     """Find label pairs (n, n+1) stepping strictly up-and-right across columns.
 
     Like the single-diagram scan, but in collection coordinates; requires
     :func:`check_free_numbering` to hold first.
     """
-    if not check_free_numbering(collection).holds:
+    labels = _free_labels(collection)
+    if not _free_numbering(collection, labels).holds:
         raise NumberingRequiredError(
             "free step-out scan requires the free numbering condition"
         )
-    labels = _free_labels(collection)
-    by_label: dict[int, list[Cell]] = {}
-    for cell, label in labels.items():
-        by_label.setdefault(label, []).append(cell)
-    witnesses = sorted(
-        (a, b)
-        for label, cells in by_label.items()
-        for a in cells
-        for b in by_label.get(label + 1, ())
-        if b[0] > a[0] and b[1] > a[1]
-    )
-    return RuleReport("free_step_out", tuple(witnesses))
+    return RuleReport("free_step_out", _step_outs(labels))
 
 
 def place_free_columns(collection: FreeColumns) -> tuple[Placement, Diagram] | None:
@@ -219,11 +209,9 @@ def place_free_columns(collection: FreeColumns) -> tuple[Placement, Diagram] | N
     >>> placement.positions, sorted(diagram.cells)
     ((1,), [(1, 1), (2, 1)])
     """
-    if not check_free_numbering(collection).holds:
-        return None
-    if not find_free_step_outs(collection).holds:
-        return None
     labels = _free_labels(collection)
+    if not _free_numbering(collection, labels).holds or _step_outs(labels):
+        return None
     positions = tuple(
         labels[(min(col), index)] for index, col in enumerate(collection.columns, 1)
     )

@@ -5,12 +5,9 @@ violation concrete: a mismatched dot, a (bubble, dot) pair, an offending
 cell pair, a cell with conflicting labels, or a gap box with the wrong
 number of final bubbles.  A report holds exactly when it has no witnesses.
 
-Dots are defined on the infinite grid.  All dot computations therefore run
-to a horizon of twice the diagram's largest coordinate plus two; beyond the
-occupied rows the greedy placement provably settles into "smallest unused
-column" behavior, which leaves both dot sets on the diagonal past the
-horizon.  Comparing the two finite windows is thus equivalent to comparing
-the infinite sets.
+:data:`RULES` maps each rule name to its checker; :func:`classify` and the
+``check --rules`` command both read it.  The greedy dot scan and its
+horizon live in :mod:`rothe.core`, which reads permutations off the dots.
 """
 
 from __future__ import annotations
@@ -18,13 +15,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 
-from .core import Cell, Diagram, _dot_reading, rothe_diagram
+from .core import (
+    Cell,
+    Diagram,
+    StabilizationError,
+    _dot_reading,
+    _FieldsJson,
+    _greedy_dot_columns,
+    _horizon,
+    _json_value,
+    rothe_diagram,
+)
 
 __all__ = [
     "DotSet",
     "GapBox",
     "Labeling",
     "NumberingRequiredError",
+    "RULES",
     "RuleReport",
     "StabilizationError",
     "check_dot_rule",
@@ -46,10 +54,6 @@ __all__ = [
 ]
 
 Labeling = dict[Cell, int]
-
-
-class StabilizationError(RuntimeError):
-    """The dot computation failed to settle before its horizon (internal bug)."""
 
 
 class NumberingRequiredError(ValueError):
@@ -91,7 +95,7 @@ class DotSet:
 
 
 @dataclass(frozen=True)
-class GapBox:
+class GapBox(_FieldsJson):
     """The rectangle below an empty-cell gap, with its final-bubble count.
 
     ``anchor`` is the bubble closing the gap; the box spans columns
@@ -114,24 +118,6 @@ class GapBox:
         if self.finals_found < 0:
             raise ValueError("final count cannot be negative")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "anchor": list(self.anchor),
-            "col_lo": self.col_lo,
-            "col_hi": self.col_hi,
-            "row_max": self.row_max,
-            "gap_len": self.gap_len,
-            "finals_found": self.finals_found,
-        }
-
-
-def _encode_witness(witness: object) -> object:
-    if isinstance(witness, GapBox):
-        return witness.to_json_obj()
-    if isinstance(witness, tuple) and witness and isinstance(witness[0], tuple):
-        return [list(cell) for cell in witness]
-    return list(witness)  # a single cell
-
 
 @dataclass(frozen=True)
 class RuleReport:
@@ -148,46 +134,8 @@ class RuleReport:
         return {
             "rule": self.rule,
             "holds": self.holds,
-            "witnesses": [_encode_witness(w) for w in self.witnesses],
+            "witnesses": _json_value(self.witnesses),
         }
-
-
-def _greedy_dot_columns(diagram: Diagram, horizon: int) -> list[int]:
-    """Column of the dot in each row 1..horizon, scanning bottom up.
-
-    Each dot takes the smallest column strictly right of every bubble in
-    its row and not used by a lower dot.  After the occupied part of the
-    grid the result must be the plain smallest-unused column; that tail
-    behavior is verified explicitly.
-    """
-    row_reach: dict[int, int] = {}
-    for r, c in diagram.cells:
-        row_reach[r] = max(row_reach.get(r, 0), c)
-    used: set[int] = set()
-    columns: list[int] = []
-    for row in range(1, horizon + 1):
-        col = row_reach.get(row, 0) + 1
-        while col in used:
-            col += 1
-        used.add(col)
-        columns.append(col)
-    top = diagram.max_coordinate
-    seen: set[int] = set()
-    for row, col in enumerate(columns, 1):
-        if row > top:
-            expect = 1
-            while expect in seen:
-                expect += 1
-            if col != expect:
-                raise StabilizationError(
-                    f"row {row} received column {col}, expected minimal unused {expect}"
-                )
-        seen.add(col)
-    return columns
-
-
-def _horizon(diagram: Diagram) -> int:
-    return 2 * diagram.max_coordinate + 2
 
 
 def row_dots(diagram: Diagram) -> DotSet:
@@ -267,11 +215,8 @@ def horizontal_numbering(diagram: Diagram) -> Labeling:
 
 def vertical_numbering(diagram: Diagram) -> Labeling:
     """Label the bubbles of column ``j`` bottom to top as j, j+1, j+2, ..."""
-    labels: Labeling = {}
-    for col in sorted({c for _, c in diagram.cells}):
-        for offset, row in enumerate(diagram.column_rows(col)):
-            labels[(row, col)] = col + offset
-    return labels
+    transposed = horizontal_numbering(diagram.transpose())
+    return {(r, c): label for (c, r), label in transposed.items()}
 
 
 def check_numbering(diagram: Diagram) -> RuleReport:
@@ -284,6 +229,22 @@ def check_numbering(diagram: Diagram) -> RuleReport:
     return RuleReport("numbering", tuple(witnesses))
 
 
+def _step_outs(labels: Labeling) -> tuple[tuple[Cell, Cell], ...]:
+    """Cell pairs labelled (n, n+1) whose second cell lies strictly north-east."""
+    by_label: dict[int, list[Cell]] = {}
+    for cell, label in labels.items():
+        by_label.setdefault(label, []).append(cell)
+    return tuple(
+        sorted(
+            (a, b)
+            for label, cells in by_label.items()
+            for a in cells
+            for b in by_label.get(label + 1, ())
+            if b[0] > a[0] and b[1] > a[1]
+        )
+    )
+
+
 def find_step_outs(diagram: Diagram) -> RuleReport:
     """Find label pairs (n, n+1) whose second bubble lies strictly north-east.
 
@@ -294,18 +255,7 @@ def find_step_outs(diagram: Diagram) -> RuleReport:
         raise NumberingRequiredError(
             "step-out scan requires the horizontal and vertical numberings to agree"
         )
-    labels = horizontal_numbering(diagram)
-    by_label: dict[int, list[Cell]] = {}
-    for cell, label in labels.items():
-        by_label.setdefault(label, []).append(cell)
-    witnesses = sorted(
-        (a, b)
-        for label, cells in by_label.items()
-        for a in cells
-        for b in by_label.get(label + 1, ())
-        if b[0] > a[0] and b[1] > a[1]
-    )
-    return RuleReport("step_out", tuple(witnesses))
+    return RuleReport("step_out", _step_outs(horizontal_numbering(diagram)))
 
 
 def final_bubbles(diagram: Diagram) -> frozenset[Cell]:
@@ -379,25 +329,29 @@ def check_rothe(diagram: Diagram) -> RuleReport:
     return RuleReport("is_rothe", tuple(sorted(difference)))
 
 
+RULES = {
+    "southwest": check_southwest,
+    "dot": check_dot_rule,
+    "vertical_popping": check_vertical_popping,
+    "horizontal_popping": check_horizontal_popping,
+    "numbering": check_numbering,
+    "step_out": find_step_outs,
+    "empty_cell_gap": check_empty_cell_gap,
+    "is_rothe": check_rothe,
+}
+
+
 def classify(diagram: Diagram) -> list[RuleReport]:
-    """Run every checker on the diagram.
+    """Run every checker in :data:`RULES` on the diagram, in order.
 
     The step-out report is omitted when the numbering condition fails,
     since its labels would be ambiguous; every other rule always reports.
     """
-    reports = [
-        check_southwest(diagram),
-        check_dot_rule(diagram),
-        check_vertical_popping(diagram),
-        check_horizontal_popping(diagram),
-    ]
-    numbering = check_numbering(diagram)
-    reports.append(numbering)
-    if numbering.holds:
-        reports.append(find_step_outs(diagram))
-    reports.append(check_empty_cell_gap(diagram))
-    reports.append(check_rothe(diagram))
-    return reports
+    reports: dict[str, RuleReport] = {}
+    for rule, checker in RULES.items():
+        if rule != "step_out" or reports["numbering"].holds:
+            reports[rule] = checker(diagram)
+    return list(reports.values())
 
 
 def condition_verdicts(diagram: Diagram) -> dict[str, bool]:

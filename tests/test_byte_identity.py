@@ -2,10 +2,10 @@
 
 Each digest covers the exact bytes a user sees: the ``classify`` report
 JSON and the five verdicts over a fixed input set, or the stdout, stderr
-and exit code of a CLI call.  The digests were taken from the code before
-the rules, reconstruction, oracle and CLI modules were deduplicated, so
-any refactor that changes a verdict, a witness, its order or its JSON
-encoding fails here.  Timings are removed before hashing.
+and exit code of a CLI call.  A refactor that changes a verdict, a
+witness, its order or its JSON encoding fails here; the digests change
+only with a deliberate change of output.  Timings are removed before
+hashing.
 """
 
 from __future__ import annotations

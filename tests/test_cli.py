@@ -178,6 +178,23 @@ class TestCheckCommand:
         assert reports["numbering"] is True
         assert reports["dot"] is False
 
+    def test_boolean_coordinates_exit_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            ["check", "-"], capsys, stdin_text='{"cells": [[true, true]]}', monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_deeply_nested_json_exit_2(self, capsys, monkeypatch):
+        depth = 100_000
+        code, out, err = run_cli(
+            ["check", "-"], capsys, stdin_text="[" * depth + "]" * depth, monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_witness_json_schema(self, tmp_path, capsys):
         path = write_diagram(tmp_path, {(1, 2), (2, 1)})
         code, out, _ = run_cli(["check", path], capsys)

@@ -99,6 +99,13 @@ class TestParsePermutation:
         except ParseError:
             pass
 
+    @pytest.mark.parametrize("text", ["\u00b2", "\u00b9", "1\u00b2", "\u0662\u0661"])
+    def test_non_ascii_digits_rejected(self, text):
+        # Superscripts pass str.isdigit but not int(); Arabic-Indic digits
+        # pass both and would otherwise read as the permutation 21.
+        with pytest.raises(ParseError, match="non-numeric token"):
+            parse_permutation(text)
+
 
 class TestPermutation:
     def test_constructor_requires_canonical(self):
@@ -273,6 +280,13 @@ class TestDiagramType:
         for obj in ({}, {"cells": [[1]]}, {"cells": [[1, 2], [1, 2]]}, {"cells": "no"}):
             with pytest.raises(ValueError):
                 Diagram.from_json_obj(obj)
+
+    def test_json_rejects_booleans(self):
+        for obj in ({"cells": [[True, True]]}, {"cells": [[1, False]]}):
+            with pytest.raises(ValueError, match="not a \\[row, col\\] pair"):
+                Diagram.from_json_obj(obj)
+        with pytest.raises(ValueError, match="list of integers"):
+            LehmerCode.from_json_obj({"counts": [True, 2]})
 
     def test_transpose_involution(self):
         d = Diagram(RUNNING_CELLS)
