@@ -13,11 +13,19 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 
-from rothe import Diagram, Permutation, classify, condition_verdicts, rothe_diagram
+from rothe import (
+    Diagram,
+    Permutation,
+    classify,
+    condition_verdicts,
+    recover_permutation,
+    rothe_diagram,
+)
 from rothe.cli import main
 
 from goldens import FREE_COLUMNS, RUNNING_CELLS
@@ -27,9 +35,15 @@ from goldens import FREE_COLUMNS, RUNNING_CELLS
 SPARSE_PREFIX = 300
 SPARSE_BLOCK = (4, 2, 3, 1, 6, 5)
 
+# Letters of the seeded random permutations whose diagrams have 103, 297 and
+# 606 cells.  Large failing variants of them are where a faster witness
+# enumeration could reorder its output.
+LARGE_SIZES = (21, 37, 47)
+
 DIGESTS = {
     "classify_3x3": "933c4b4b25978d638ce33b3cba6d5f426c01295dd8bea9a133286d8691178139",
     "classify_s6": "d090e1aa0b598203de66bbebd313e03834c2159fffe7fdc87417b0f5a585dcc1",
+    "classify_large": "60f4d52704dc6915f53ee34644170751c97529153de34933d8faf3e5f325ff90",
     "classify_far_out": "3e04d02be56b8a140c1f4bf6c56e0c42b6d823a485d8a15b47a7390b687bed6f",
     "verify_default": "0c6ea707f34e833da37760612e12346d66eec4f9a1c24bc8a81c681108a2105e",
     "place": "f50cc3aa7256515f976de4d670c6e05da42a1e3c9374a427780b67f778f10922",
@@ -80,6 +94,32 @@ def _far_out_diagrams() -> list[Diagram]:
     ]
 
 
+def _large_diagrams() -> list[Diagram]:
+    """Each seeded diagram, then it with one cell removed and one added.
+
+    Both variants are chosen so that they are not Rothe diagrams; the added
+    cell lies inside the bounding box.
+    """
+    diagrams = []
+    for n in LARGE_SIZES:
+        rng = random.Random(f"byte-identity:{n}")
+        word = list(range(1, n + 1))
+        rng.shuffle(word)
+        cells = rothe_diagram(Permutation.from_word(word)).cells
+        order = sorted(cells)
+        rng.shuffle(order)
+        removed = next(
+            cells - {c} for c in order if recover_permutation(Diagram(cells - {c})) is None
+        )
+        top, right = max(r for r, _ in cells), max(c for _, c in cells)
+        while True:
+            cell = (rng.randint(1, top), rng.randint(1, right))
+            if cell not in cells and recover_permutation(Diagram(cells | {cell})) is None:
+                break
+        diagrams += [Diagram(cells), Diagram(removed), Diagram(cells | {cell})]
+    return diagrams
+
+
 def _columns_of(cells) -> list[list[int]]:
     by_col: dict[int, list[int]] = {}
     for r, c in sorted(cells):
@@ -109,6 +149,11 @@ def test_classify_s6():
 def test_classify_far_out_cells():
     lines = [_classify_line(diagram) for diagram in _far_out_diagrams()]
     assert _digest(lines) == DIGESTS["classify_far_out"]
+
+
+def test_classify_large_diagrams():
+    lines = [_classify_line(diagram) for diagram in _large_diagrams()]
+    assert _digest(lines) == DIGESTS["classify_large"]
 
 
 def test_verify_default_json():
