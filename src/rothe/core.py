@@ -25,12 +25,21 @@ beyond the occupied rows the greedy placement provably settles into
 "smallest unused column" behavior, which leaves both dot sets on the
 diagonal past the horizon.  Comparing the two finite windows is thus
 equivalent to comparing the infinite sets.
+
+A :class:`Diagram` computes the facts every rule shares once, on first use,
+as cached members that live and die with the (frozen) object: the sorted
+cells and the row index, O(cells log cells); the transpose, O(cells); the
+greedy row-dot columns, O(horizon) plus a scan past lower dots in each
+occupied row; and the horizontal labels, O(cells).  Column facts are the
+row facts of the cached transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Cell",
@@ -154,10 +163,11 @@ class Diagram:
     def __post_init__(self) -> None:
         cells = frozenset(self.cells)
         for cell in cells:
-            if (
-                not isinstance(cell, tuple)
-                or len(cell) != 2
-                or not all(isinstance(v, int) for v in cell)
+            if not (
+                isinstance(cell, tuple)
+                and len(cell) == 2
+                and isinstance(cell[0], int)
+                and isinstance(cell[1], int)
             ):
                 raise ValueError(f"cell {cell!r} is not an integer pair")
             if cell[0] < 1 or cell[1] < 1:
@@ -174,32 +184,55 @@ class Diagram:
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
 
-    @property
+    @cached_property
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
 
+    @cached_property
+    def row_index(self) -> Mapping[int, tuple[int, ...]]:
+        """Columns of each occupied row, ascending; rows in ascending order."""
+        index: dict[int, list[int]] = {}
+        for r, c in self.sorted_cells:
+            index.setdefault(r, []).append(c)
+        return MappingProxyType({r: tuple(cols) for r, cols in index.items()})
+
+    @cached_property
+    def _transposed(self) -> "Diagram":
+        return Diagram(frozenset((c, r) for r, c in self.cells))
+
+    @cached_property
+    def dot_columns(self) -> tuple[int, ...]:
+        """Column of the greedy dot in each row 1..horizon (see the module notes)."""
+        return tuple(_greedy_dot_columns(self, 2 * self.max_coordinate + 2))
+
+    @cached_property
+    def horizontal_labels(self) -> Mapping[Cell, int]:
+        """The bubbles of row ``i`` labelled i, i+1, i+2, ... left to right."""
+        rows = self.row_index.items()
+        return MappingProxyType({(r, c): r + k for r, cols in rows for k, c in enumerate(cols)})
+
     @property
     def max_row(self) -> int:
-        return max((r for r, _ in self.cells), default=0)
+        return next(reversed(self.row_index), 0)
 
     @property
     def max_col(self) -> int:
-        return max((c for _, c in self.cells), default=0)
+        return max((cols[-1] for cols in self.row_index.values()), default=0)
 
     @property
     def max_coordinate(self) -> int:
-        return max((max(r, c) for r, c in self.cells), default=0)
+        return max(self.max_row, self.max_col)
 
     def row_columns(self, row: int) -> tuple[int, ...]:
         """Columns of the bubbles in ``row``, ascending."""
-        return tuple(sorted(c for r, c in self.cells if r == row))
+        return self.row_index.get(row, ())
 
     def column_rows(self, col: int) -> tuple[int, ...]:
         """Rows of the bubbles in ``col``, ascending."""
-        return tuple(sorted(r for r, c in self.cells if c == col))
+        return self._transposed.row_index.get(col, ())
 
     def transpose(self) -> "Diagram":
-        return Diagram(frozenset((c, r) for r, c in self.cells))
+        return self._transposed
 
     def to_json_obj(self) -> dict:
         return {"cells": [[r, c] for r, c in self.sorted_cells]}
@@ -408,24 +441,27 @@ def _greedy_dot_columns(diagram: Diagram, horizon: int) -> list[int]:
     Each dot takes the smallest column strictly right of every bubble in
     its row and not used by a lower dot.  After the occupied part of the
     grid the result must be the plain smallest-unused column; that tail
-    behavior is verified explicitly.
+    behavior is verified explicitly.  Both scans keep the smallest unused
+    column in a pointer that only moves up, so an empty row costs O(1).
     """
-    row_reach: dict[int, int] = {}
-    for r, c in diagram.cells:
-        row_reach[r] = max(row_reach.get(r, 0), c)
+    index = diagram.row_index
     used: set[int] = set()
+    lowest = 1
     columns: list[int] = []
     for row in range(1, horizon + 1):
-        col = row_reach.get(row, 0) + 1
+        cols = index.get(row)
+        col = max(cols[-1] + 1, lowest) if cols else lowest
         while col in used:
             col += 1
         used.add(col)
         columns.append(col)
+        while lowest in used:
+            lowest += 1
     top = diagram.max_coordinate
     seen: set[int] = set()
+    expect = 1
     for row, col in enumerate(columns, 1):
         if row > top:
-            expect = 1
             while expect in seen:
                 expect += 1
             if col != expect:
@@ -436,13 +472,9 @@ def _greedy_dot_columns(diagram: Diagram, horizon: int) -> list[int]:
     return columns
 
 
-def _horizon(diagram: Diagram) -> int:
-    return 2 * diagram.max_coordinate + 2
-
-
 def _dot_reading(diagram: Diagram) -> Permutation:
     """The candidate permutation read off the columns of the row dots."""
-    return Permutation.from_word(_greedy_dot_columns(diagram, _horizon(diagram)))
+    return Permutation.from_word(diagram.dot_columns)
 
 
 def recover_permutation(diagram: Diagram) -> Optional[Permutation]:

@@ -8,10 +8,18 @@ number of final bubbles.  A report holds exactly when it has no witnesses.
 :data:`RULES` maps each rule name to its checker; :func:`classify` and the
 ``check --rules`` command both read it.  The greedy dot scan and its
 horizon live in :mod:`rothe.core`, which reads permutations off the dots.
+
+The checkers read the facts a :class:`~rothe.core.Diagram` caches, so one
+:func:`classify` computes each fact once; no rule reads another's verdict
+but for the step-out scan's numbering precondition.  Beyond those facts,
+``southwest``, ``numbering`` and ``empty_cell_gap`` cost O(cells log cells)
+plus their witnesses, ``dot`` and the popping rules O(horizon + cells), and
+``is_rothe`` O(n^2) to rebuild the diagram of its n-letter candidate word.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -21,8 +29,6 @@ from .core import (
     StabilizationError,
     _dot_reading,
     _FieldsJson,
-    _greedy_dot_columns,
-    _horizon,
     _json_value,
     rothe_diagram,
 )
@@ -144,9 +150,8 @@ def row_dots(diagram: Diagram) -> DotSet:
     >>> row_dots(Diagram.from_cells([(1, 1), (2, 2)])).dots[:3]
     ((1, 2), (2, 3), (3, 1))
     """
-    horizon = _horizon(diagram)
-    columns = _greedy_dot_columns(diagram, horizon)
-    return DotSet(tuple((row, col) for row, col in enumerate(columns, 1)), horizon)
+    columns = diagram.dot_columns
+    return DotSet(tuple(enumerate(columns, 1)), len(columns))
 
 
 def column_dots(diagram: Diagram) -> DotSet:
@@ -155,9 +160,8 @@ def column_dots(diagram: Diagram) -> DotSet:
     >>> column_dots(Diagram.from_cells([(1, 1), (2, 2)])).dots[:3]
     ((2, 1), (3, 2), (1, 3))
     """
-    horizon = _horizon(diagram)
-    rows = _greedy_dot_columns(diagram.transpose(), horizon)
-    return DotSet(tuple((row, col) for col, row in enumerate(rows, 1)), horizon)
+    rows = diagram.transpose().dot_columns
+    return DotSet(tuple((row, col) for col, row in enumerate(rows, 1)), len(rows))
 
 
 def check_dot_rule(diagram: Diagram) -> RuleReport:
@@ -168,7 +172,7 @@ def check_dot_rule(diagram: Diagram) -> RuleReport:
 
 def check_vertical_popping(diagram: Diagram) -> RuleReport:
     """No bubble may sit strictly above a row dot in its column."""
-    dot_row_of_col = {c: r for r, c in row_dots(diagram).dots}
+    dot_row_of_col = {c: r for r, c in enumerate(diagram.dot_columns, 1)}
     witnesses = sorted(
         ((r, c), (dot_row_of_col[c], c))
         for r, c in diagram.cells
@@ -179,7 +183,7 @@ def check_vertical_popping(diagram: Diagram) -> RuleReport:
 
 def check_horizontal_popping(diagram: Diagram) -> RuleReport:
     """No bubble may sit strictly right of a column dot in its row."""
-    dot_col_of_row = {r: c for r, c in column_dots(diagram).dots}
+    dot_col_of_row = {r: c for c, r in enumerate(diagram.transpose().dot_columns, 1)}
     witnesses = sorted(
         ((r, c), (r, dot_col_of_row[r]))
         for r, c in diagram.cells
@@ -189,15 +193,32 @@ def check_horizontal_popping(diagram: Diagram) -> RuleReport:
 
 
 def check_southwest(diagram: Diagram) -> RuleReport:
-    """Any two cells must have their coordinatewise minimum in the diagram."""
-    cells = diagram.sorted_cells
+    """Any two cells must have their coordinatewise minimum in the diagram.
+
+    Only a cell ``a`` and a cell ``b`` in a higher row and a lower column
+    can fail, at the corner ``(a_row, b_col)``: each row must hold every
+    column seen above it and left of its last bubble.  Rows are walked top
+    down; a failing row's witnesses come from its missing columns.
+    """
+    above: list[int] = []
+    above_set: set[int] = set()
     witnesses = []
-    for i, a in enumerate(cells):
-        for b in cells[i + 1 :]:
-            corner = (min(a[0], b[0]), min(a[1], b[1]))
-            if corner != a and corner != b and corner not in diagram.cells:
-                witnesses.append((a, b))
-    return RuleReport("southwest", tuple(witnesses))
+    for row, cols in reversed(diagram.row_index.items()):
+        left_of_last = bisect_left(above, cols[-1])
+        if left_of_last > sum(1 for c in cols[:-1] if c in above_set):
+            present = set(cols)
+            for col in above[:left_of_last]:
+                if col in present:
+                    continue
+                rows = diagram.column_rows(col)
+                higher = rows[bisect_right(rows, row) :]
+                for a_col in cols[bisect_right(cols, col) :]:
+                    witnesses += [((row, a_col), (b_row, col)) for b_row in higher]
+        for col in cols:
+            if col not in above_set:
+                above_set.add(col)
+                insort(above, col)
+    return RuleReport("southwest", tuple(sorted(witnesses)))
 
 
 def horizontal_numbering(diagram: Diagram) -> Labeling:
@@ -206,25 +227,20 @@ def horizontal_numbering(diagram: Diagram) -> Labeling:
     >>> horizontal_numbering(Diagram.from_cells([(2, 4), (2, 1)]))
     {(2, 1): 2, (2, 4): 3}
     """
-    labels: Labeling = {}
-    for row in sorted({r for r, _ in diagram.cells}):
-        for offset, col in enumerate(diagram.row_columns(row)):
-            labels[(row, col)] = row + offset
-    return labels
+    return dict(diagram.horizontal_labels)
 
 
 def vertical_numbering(diagram: Diagram) -> Labeling:
     """Label the bubbles of column ``j`` bottom to top as j, j+1, j+2, ..."""
-    transposed = horizontal_numbering(diagram.transpose())
+    transposed = diagram.transpose().horizontal_labels
     return {(r, c): label for (c, r), label in transposed.items()}
 
 
 def check_numbering(diagram: Diagram) -> RuleReport:
     """The horizontal and vertical numberings must be the same labeling."""
-    horizontal = horizontal_numbering(diagram)
-    vertical = vertical_numbering(diagram)
+    vertical = diagram.transpose().horizontal_labels
     witnesses = sorted(
-        cell for cell in diagram.cells if horizontal[cell] != vertical[cell]
+        (r, c) for (r, c), label in diagram.horizontal_labels.items() if vertical[c, r] != label
     )
     return RuleReport("numbering", tuple(witnesses))
 
@@ -255,7 +271,7 @@ def find_step_outs(diagram: Diagram) -> RuleReport:
         raise NumberingRequiredError(
             "step-out scan requires the horizontal and vertical numberings to agree"
         )
-    return RuleReport("step_out", _step_outs(horizontal_numbering(diagram)))
+    return RuleReport("step_out", _step_outs(diagram.horizontal_labels))
 
 
 def final_bubbles(diagram: Diagram) -> frozenset[Cell]:
@@ -267,11 +283,8 @@ def final_bubbles(diagram: Diagram) -> frozenset[Cell]:
     >>> sorted(final_bubbles(Diagram.from_cells([(2, 1), (2, 3)])))
     [(1, 0), (2, 3)]
     """
-    finals = set()
-    for row in range(1, diagram.max_row + 1):
-        cols = diagram.row_columns(row)
-        finals.add((row, cols[-1] if cols else 0))
-    return frozenset(finals)
+    index, top = diagram.row_index, diagram.max_row
+    return frozenset((r, index[r][-1] if r in index else 0) for r in range(1, top + 1))
 
 
 def gap_boxes(diagram: Diagram) -> tuple[GapBox, ...]:
@@ -283,30 +296,26 @@ def gap_boxes(diagram: Diagram) -> tuple[GapBox, ...]:
     box spans the gap's columns together with the left bubble's column,
     over all rows strictly below.
     """
-    finals = final_bubbles(diagram)
-    top = diagram.max_row
+    finals_below: list[int] = []
     boxes = []
-    for row in sorted({r for r, _ in diagram.cells}):
-        stops = (0,) + diagram.row_columns(row)
-        for left, right in pairwise(stops):
+    for occupied_below, (row, cols) in enumerate(diagram.row_index.items()):
+        basement_below = row - 1 - occupied_below
+        for left, right in pairwise((0,) + cols):
             length = right - left - 1
             if length < 1:
                 continue
-            row_max = row - 1
-            assert row_max < top  # boxes never reach above the top occupied row
-            found = sum(
-                1 for fr, fc in finals if fr <= row_max and left <= fc <= left + length
-            )
+            found = bisect_right(finals_below, right - 1) - bisect_left(finals_below, left)
             boxes.append(
                 GapBox(
                     anchor=(row, right),
                     col_lo=left,
                     col_hi=left + length,
-                    row_max=row_max,
+                    row_max=row - 1,
                     gap_len=length,
-                    finals_found=found,
+                    finals_found=found + (basement_below if left == 0 else 0),
                 )
             )
+        insort(finals_below, cols[-1])
     return tuple(boxes)
 
 
