@@ -137,10 +137,10 @@ def _load_diagram(source: str) -> Diagram:
 def _parse_counts(text: str) -> list[int]:
     counts = []
     for token in text.replace(",", " ").split():
-        try:
-            value = int(token)
-        except ValueError:
-            raise ParseError(f"row count is not an integer: {token!r}") from None
+        # ASCII digits only: int() would also take "1_0", "+1" and "٢".
+        if re.fullmatch(r"-?[0-9]+", token) is None:
+            raise ParseError(f"row count is not an integer: {token!r}")
+        value = int(token)
         if value < 0:
             raise ParseError(f"row count cannot be negative: {value}")
         counts.append(value)
@@ -148,7 +148,7 @@ def _parse_counts(text: str) -> list[int]:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(\d+)x(\d+)", text)
+    match = re.fullmatch(r"([0-9]+)x([0-9]+)", text)
     if match is None:
         raise ParseError(f"grid must look like {DEFAULT_GRID!r}, got {text!r}")
     return int(match.group(1)), int(match.group(2))

@@ -124,6 +124,11 @@ class TestLehmerCommands:
         assert code == 2
         assert err
 
+    def test_unlehmer_rejects_non_ascii_digits(self, capsys):
+        code, out, err = run_cli(["unlehmer", "\u0662\u0661"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_round_trip_through_diagram(self, capsys, monkeypatch):
         code, out, _ = run_cli(["unlehmer", "1,1"], capsys)
         code, out, _ = run_cli(
@@ -227,6 +232,12 @@ class TestBuildCommand:
         assert json.loads(first)["cells"] == [[1, 1], [2, 1]]
         assert second == "231"
 
+    @pytest.mark.parametrize("rows", ["1_0,+1", "1_0", "+1", "\u0662"])
+    def test_rows_must_be_ascii_digits(self, rows, capsys):
+        code, out, err = run_cli(["build", "--rows", rows], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: row count is not an integer")
+
 
 class TestPlaceCommand:
     def test_worked_example(self, tmp_path, capsys):
@@ -285,6 +296,11 @@ class TestVerifyCommand:
     def test_bad_grid_format_exit_2(self, capsys):
         code, _, err = run_cli(["verify", "--grid", "3by3"], capsys)
         assert code == 2
+
+    def test_grid_must_be_ascii_digits(self, capsys):
+        code, out, err = run_cli(["verify", "--grid", "\u0662x\u0662"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid must look like")
 
 
 class TestRenderCommand:
