@@ -26,12 +26,11 @@ beyond the occupied rows the greedy placement provably settles into
 diagonal past the horizon.  Comparing the two finite windows is thus
 equivalent to comparing the infinite sets.
 
-A :class:`Diagram` computes the facts every rule shares once, on first use,
-as cached members that live and die with the (frozen) object: the sorted
-cells and the row index, O(cells log cells); the transpose, O(cells); the
-greedy row-dot columns, O(horizon) plus a scan past lower dots in each
-occupied row; and the horizontal labels, O(cells).  Column facts are the
-row facts of the cached transpose.
+A :class:`Diagram` computes the facts the rules share once, on first use,
+as cached members that live and die with the frozen object: sorted cells
+and row index, O(cells log cells); transpose and horizontal labels,
+O(cells); greedy row-dot columns, O(horizon) plus a scan past lower dots
+in each occupied row.  Column facts are the row facts of the transpose.
 """
 
 from __future__ import annotations
@@ -177,6 +176,9 @@ class Diagram:
     @classmethod
     def from_cells(cls, cells: Iterable[Sequence[int]]) -> "Diagram":
         return cls(frozenset((int(r), int(c)) for r, c in cells))
+
+    def __reduce__(self):
+        return (Diagram, (self.cells,))  # pickles and copies drop the cached facts
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -441,8 +443,8 @@ def _greedy_dot_columns(diagram: Diagram, horizon: int) -> list[int]:
     Each dot takes the smallest column strictly right of every bubble in
     its row and not used by a lower dot.  After the occupied part of the
     grid the result must be the plain smallest-unused column; that tail
-    behavior is verified explicitly.  Both scans keep the smallest unused
-    column in a pointer that only moves up, so an empty row costs O(1).
+    behavior is verified explicitly.  A pointer to the smallest unused
+    column, which only moves up, makes each empty row O(1).
     """
     index = diagram.row_index
     used: set[int] = set()

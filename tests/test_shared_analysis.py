@@ -9,6 +9,8 @@ diagram.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 
@@ -90,6 +92,14 @@ def test_returned_labelings_are_copies():
     vertical_numbering(diagram).clear()
     assert horizontal_numbering(diagram) == {(1, 1): 1, (2, 3): 2}
     assert vertical_numbering(diagram) == {(1, 1): 1, (2, 3): 3}
+
+
+def test_classified_diagram_pickles_and_copies():
+    diagram = Diagram.from_cells([(1, 2), (2, 1), (3, 3)])
+    reports = classify(diagram)
+    for clone in (pickle.loads(pickle.dumps(diagram)), copy.deepcopy(diagram)):
+        assert clone == diagram
+        assert classify(clone) == reports
 
 
 def test_classify_budget_s60():
