@@ -35,7 +35,7 @@ from .reconstruct import (
     find_free_step_outs,
     place_free_columns,
 )
-from .rules import RULES, classify, horizontal_numbering, row_dots
+from .rules import RULES, classify, horizontal_numbering
 
 __all__ = ["RenderOptions", "main", "render_diagram", "run"]
 
@@ -78,13 +78,9 @@ def render_diagram(diagram: Diagram, options: RenderOptions = RenderOptions()) -
     >>> render_diagram(Diagram.from_cells([(1, 1), (2, 1)]))
     'o\\no'
     """
-    marks = set(diagram.cells)
-    dots: frozenset = frozenset()
-    if options.show_dots:
-        dots = frozenset(
-            d for d in row_dots(diagram).dots if d[0] <= diagram.max_row + 1
-        )
-        marks |= dots
+    shown = diagram.dot_columns[: diagram.max_row + 1] if options.show_dots else ()
+    dots = frozenset(enumerate(shown, 1))
+    marks = set(diagram.cells) | dots
     labels = {}
     if options.show_labels:
         labels = horizontal_numbering(diagram)
@@ -134,13 +130,17 @@ def _load_diagram(source: str) -> Diagram:
     return Diagram.from_json_obj(json.loads(_read_source(source)))
 
 
+def _ascii_int(text: str, what: str = "value") -> int:
+    # ASCII digits only: int() would also take "1_0", "+1" and "٢".
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ParseError(f"{what} is not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_counts(text: str) -> list[int]:
     counts = []
     for token in text.replace(",", " ").split():
-        # ASCII digits only: int() would also take "1_0", "+1" and "٢".
-        if re.fullmatch(r"-?[0-9]+", token) is None:
-            raise ParseError(f"row count is not an integer: {token!r}")
-        value = int(token)
+        value = _ascii_int(token, "row count")
         if value < 0:
             raise ParseError(f"row count cannot be negative: {value}")
         counts.append(value)
@@ -214,7 +214,8 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     rows, cols = _parse_grid(args.grid)
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("ROTHE_JOBS", "1"))
+    env_jobs = os.environ.get("ROTHE_JOBS", "1")
+    jobs = args.jobs if args.jobs is not None else _ascii_int(env_jobs, "ROTHE_JOBS")
     if not args.large and (args.n > MAX_CASUAL_SIZE or rows * cols > MAX_CASUAL_GRID_CELLS):
         print(
             f"error: bounds beyond n={MAX_CASUAL_SIZE} or "
@@ -290,9 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_place)
 
     p = sub.add_parser("verify", help="brute-force the equivalences at small bounds")
-    p.add_argument("--n", type=int, default=DEFAULT_SIZE, help="permutation size to sweep")
+    p.add_argument("--n", type=_ascii_int, default=DEFAULT_SIZE, help="permutation size to sweep")
     p.add_argument("--grid", default=DEFAULT_GRID, help="diagram grid bounds, like 3x3")
-    p.add_argument("--jobs", type=int, help="worker processes (default $ROTHE_JOBS or 1)")
+    p.add_argument("--jobs", type=_ascii_int, help="worker processes (default $ROTHE_JOBS or 1)")
     p.add_argument("--large", action="store_true", help="allow slow bounds")
     p.set_defaults(handler=_cmd_verify)
 

@@ -20,11 +20,10 @@ Conventions used throughout the package:
   number of bubbles in row ``i`` of the diagram.
 
 Dots are defined on the infinite grid.  The greedy dot scan below therefore
-runs to a horizon of twice the diagram's largest coordinate plus two;
-beyond the occupied rows the greedy placement provably settles into
-"smallest unused column" behavior, which leaves both dot sets on the
-diagonal past the horizon.  Comparing the two finite windows is thus
-equivalent to comparing the infinite sets.
+runs to a horizon of twice the diagram's largest coordinate plus two, and
+checks in O(1) that the window's dots fill columns 1..horizon; then every
+later dot lies on the diagonal, for row and column dots alike, so comparing
+the two finite windows is equivalent to comparing the infinite sets.
 
 A :class:`Diagram` computes the facts the rules share once, on first use,
 as cached members that live and die with the frozen object: sorted cells
@@ -63,7 +62,7 @@ class ParseError(ValueError):
 
 
 class StabilizationError(RuntimeError):
-    """The dot computation failed to settle before its horizon (internal bug)."""
+    """The greedy dots did not fill columns 1..horizon (internal bug)."""
 
 
 def _is_int(value: object) -> bool:
@@ -123,9 +122,8 @@ class Permutation:
     def from_word(cls, values: Iterable[int]) -> "Permutation":
         """Build a permutation from one-line notation, trimming the fixed tail."""
         word = tuple(values)
-        while word and word[-1] == len(word):
-            word = word[:-1]
-        return cls(word)
+        end = next((i for i in range(len(word), 0, -1) if word[i - 1] != i), 0)
+        return cls(word[:end])
 
     @property
     def size(self) -> int:
@@ -281,9 +279,8 @@ class LehmerCode(_FieldsJson):
     @classmethod
     def from_counts(cls, values: Iterable[int]) -> "LehmerCode":
         counts = tuple(values)
-        while counts and counts[-1] == 0:
-            counts = counts[:-1]
-        return cls(counts)
+        end = next((i for i in range(len(counts), 0, -1) if counts[i - 1]), 0)
+        return cls(counts[:end])
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "LehmerCode":
@@ -441,10 +438,10 @@ def _greedy_dot_columns(diagram: Diagram, horizon: int) -> list[int]:
     """Column of the dot in each row 1..horizon, scanning bottom up.
 
     Each dot takes the smallest column strictly right of every bubble in
-    its row and not used by a lower dot.  After the occupied part of the
-    grid the result must be the plain smallest-unused column; that tail
-    behavior is verified explicitly.  A pointer to the smallest unused
-    column, which only moves up, makes each empty row O(1).
+    its row and not used by a lower dot.  A pointer to the smallest unused
+    column, which only moves up, makes each empty row O(1).  The window is
+    complete when its dots fill columns 1..horizon, so that every later dot
+    lies on the diagonal; that is checked once at the end.
     """
     index = diagram.row_index
     used: set[int] = set()
@@ -459,24 +456,15 @@ def _greedy_dot_columns(diagram: Diagram, horizon: int) -> list[int]:
         columns.append(col)
         while lowest in used:
             lowest += 1
-    top = diagram.max_coordinate
-    seen: set[int] = set()
-    expect = 1
-    for row, col in enumerate(columns, 1):
-        if row > top:
-            while expect in seen:
-                expect += 1
-            if col != expect:
-                raise StabilizationError(
-                    f"row {row} received column {col}, expected minimal unused {expect}"
-                )
-        seen.add(col)
+    if lowest != horizon + 1:
+        raise StabilizationError(f"dots of rows 1..{horizon} leave column {lowest} unused")
     return columns
 
 
-def _dot_reading(diagram: Diagram) -> Permutation:
-    """The candidate permutation read off the columns of the row dots."""
-    return Permutation.from_word(diagram.dot_columns)
+def _dot_candidate(diagram: Diagram) -> tuple[Permutation, frozenset[Cell]]:
+    """The word read off the row-dot columns, and the cells where its diagram differs."""
+    candidate = Permutation.from_word(diagram.dot_columns)
+    return candidate, diagram.cells ^ rothe_diagram(candidate).cells
 
 
 def recover_permutation(diagram: Diagram) -> Optional[Permutation]:
@@ -491,5 +479,5 @@ def recover_permutation(diagram: Diagram) -> Optional[Permutation]:
     >>> recover_permutation(Diagram.from_cells([(1, 2), (2, 1)])) is None
     True
     """
-    candidate = _dot_reading(diagram)
-    return candidate if rothe_diagram(candidate) == diagram else None
+    candidate, difference = _dot_candidate(diagram)
+    return None if difference else candidate

@@ -8,6 +8,7 @@ honest: anything bigger raises instead of silently sampling.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -115,11 +116,12 @@ def _characterization_chunk(rows: int, cols: int, lo: int, hi: int) -> tuple:
 def verify_characterizations(rows: int, cols: int, jobs: int = 1) -> EquivalenceReport:
     """Check that all five conditions agree on every diagram in the grid.
 
-    The scan can be split across processes with ``jobs``; the merged report
-    is identical either way.  Counterexamples are capped at
-    ``COUNTEREXAMPLE_CAP`` entries but always counted in full.
+    The scan can be split over up to ``jobs`` processes, one per CPU at
+    most; the merged report is identical either way.  Counterexamples are
+    capped at ``COUNTEREXAMPLE_CAP`` entries but always counted in full.
     """
     size = 1 << len(_grid_positions(rows, cols))
+    jobs = min(jobs, os.cpu_count() or 1, size)
     started = time.perf_counter()
     if jobs <= 1:
         pieces = [_characterization_chunk(rows, cols, 0, size)]

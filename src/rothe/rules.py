@@ -6,8 +6,9 @@ cell pair, a cell with conflicting labels, or a gap box with the wrong
 number of final bubbles.  A report holds exactly when it has no witnesses.
 
 :data:`RULES` maps each rule name to its checker; :func:`classify` and the
-``check --rules`` command both read it.  The greedy dot scan and its
-horizon live in :mod:`rothe.core`, which reads permutations off the dots.
+``check --rules`` command both read it.  The greedy dot scan lives in
+:mod:`rothe.core`, which reads permutations off the dots; it raises
+:class:`StabilizationError` if its window's dots leave a column unused.
 
 The checkers read the facts a :class:`~rothe.core.Diagram` caches, so one
 :func:`classify` computes each fact once; no rule reads another's verdict
@@ -15,6 +16,7 @@ but for the step-out scan's numbering precondition.  Beyond those facts,
 ``southwest``, ``numbering`` and ``empty_cell_gap`` cost O(cells log cells)
 plus their witnesses, ``dot`` and the popping rules O(horizon + cells), and
 ``is_rothe`` O(n^2) to rebuild the diagram of its n-letter candidate word.
+Horizontal popping is vertical popping of the transpose, mirrored back.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from .core import (
     Cell,
     Diagram,
     StabilizationError,
-    _dot_reading,
+    _dot_candidate,
     _FieldsJson,
     _json_value,
-    rothe_diagram,
 )
 
 __all__ = [
@@ -166,8 +167,9 @@ def column_dots(diagram: Diagram) -> DotSet:
 
 def check_dot_rule(diagram: Diagram) -> RuleReport:
     """Row dots and column dots must agree as sets."""
-    mismatched = row_dots(diagram).cells() ^ column_dots(diagram).cells()
-    return RuleReport("dot", tuple(sorted(mismatched)))
+    by_row = set(enumerate(diagram.dot_columns, 1))
+    by_column = {(r, c) for c, r in enumerate(diagram.transpose().dot_columns, 1)}
+    return RuleReport("dot", tuple(sorted(by_row ^ by_column)))
 
 
 def check_vertical_popping(diagram: Diagram) -> RuleReport:
@@ -183,12 +185,8 @@ def check_vertical_popping(diagram: Diagram) -> RuleReport:
 
 def check_horizontal_popping(diagram: Diagram) -> RuleReport:
     """No bubble may sit strictly right of a column dot in its row."""
-    dot_col_of_row = {r: c for c, r in enumerate(diagram.transpose().dot_columns, 1)}
-    witnesses = sorted(
-        ((r, c), (r, dot_col_of_row[r]))
-        for r, c in diagram.cells
-        if r in dot_col_of_row and dot_col_of_row[r] < c
-    )
+    mirrored = check_vertical_popping(diagram.transpose()).witnesses
+    witnesses = sorted(((r, c), (dr, dc)) for (c, r), (dc, dr) in mirrored)
     return RuleReport("horizontal_popping", tuple(witnesses))
 
 
@@ -333,9 +331,7 @@ def check_rothe(diagram: Diagram) -> RuleReport:
     The row-dot columns determine the only candidate word; the witnesses
     are the cells by which the candidate's diagram differs.
     """
-    candidate = _dot_reading(diagram)
-    difference = diagram.cells ^ rothe_diagram(candidate).cells
-    return RuleReport("is_rothe", tuple(sorted(difference)))
+    return RuleReport("is_rothe", tuple(sorted(_dot_candidate(diagram)[1])))
 
 
 RULES = {

@@ -2,8 +2,9 @@
 
 These are the direct forms of what ``rothe.rules`` computes from a
 diagram's shared, cached facts: the all-pairs southwest scan, the gap boxes
-counted by scanning every final bubble, and the labelings and greedy dots
-built straight from the cell set.  Each reads nothing but ``cells``, so a
+counted by scanning every final bubble, the labelings and greedy dots
+built straight from the cell set, and horizontal popping read directly off
+the column dots.  Each reads nothing but ``cells``, so a
 fault in a ``Diagram``'s cached members cannot hide here.
 """
 
@@ -82,3 +83,15 @@ def dot_columns(cells) -> tuple[int, ...]:
         used.add(col)
         columns.append(col)
     return tuple(columns)
+
+
+def horizontal_popping_witnesses(cells) -> tuple[tuple[Cell, Cell], ...]:
+    """Each bubble strictly right of the column dot in its row, with that dot."""
+    dot_col_of_row = {r: c for c, r in enumerate(dot_columns(transpose(cells)), 1)}
+    return tuple(
+        sorted(
+            ((r, c), (r, dot_col_of_row[r]))
+            for r, c in cells
+            if r in dot_col_of_row and dot_col_of_row[r] < c
+        )
+    )

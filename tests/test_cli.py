@@ -302,6 +302,20 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: grid must look like")
 
+    @pytest.mark.parametrize(
+        "option, value", [("--n", "\u0663"), ("--n", "+3"), ("--n", "1_0"), ("--n", "0_3"), ("--jobs", "\u0661")]
+    )
+    def test_integers_must_be_ascii_digits(self, option, value, capsys):
+        code, out, err = run_cli(["verify", "--grid", "2x2", option, value], capsys)
+        assert (code, out) == (2, "")
+        assert f"argument {option}: invalid" in err
+
+    def test_jobs_env_var_must_be_ascii_digits(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROTHE_JOBS", "\u0661")
+        code, out, err = run_cli(["verify", "--n", "2", "--grid", "2x2"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ROTHE_JOBS is not an integer")
+
 
 class TestRenderCommand:
     def test_231_with_dots(self, tmp_path, capsys):

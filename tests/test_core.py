@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -292,3 +293,28 @@ class TestDiagramType:
         d = Diagram(RUNNING_CELLS)
         assert d.transpose().transpose() == d
         assert d.transpose().cells == frozenset((c, r) for (r, c) in RUNNING_CELLS)
+
+
+class TestTrimmingBudget:
+    """Trimming cuts once at the last unfixed letter or nonzero count."""
+
+    @staticmethod
+    def best_ms(build):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            result = build()
+            times.append((time.perf_counter() - t0) * 1000)
+        return min(times), result
+
+    def test_from_word_long_fixed_tail(self):
+        word = (2, 1) + tuple(range(3, 20003))
+        elapsed_ms, w = self.best_ms(lambda: Permutation.from_word(word))
+        assert w.word == (2, 1)
+        assert elapsed_ms < 50, f"from_word took {elapsed_ms:.1f} ms"
+
+    def test_from_counts_trailing_zeros(self):
+        counts = (1,) + (0,) * 20000
+        elapsed_ms, code = self.best_ms(lambda: LehmerCode.from_counts(counts))
+        assert code.counts == (1,)
+        assert elapsed_ms < 50, f"from_counts took {elapsed_ms:.1f} ms"

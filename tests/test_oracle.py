@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from rothe import (
     verify_lehmer_bijection,
     verify_rothe_properties,
 )
+from rothe import oracle
 
 
 class TestEnumeratePermutations:
@@ -180,3 +182,41 @@ class TestAgainstIndependentGroundTruth:
             d for d in enumerate_grid_diagrams(2, 2) if recover_permutation(d) is not None
         }
         assert found == expected
+
+
+class TestJobsClamp:
+    """``jobs`` is capped at the CPU count and the diagram count; no process is started."""
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, grid, workers",
+        [
+            (100000, 2, (2, 2), [2]),
+            (100000, None, (2, 2), []),
+            (100000, 64, (1, 2), [4]),
+            (3, 8, (2, 2), [3]),
+            (1, 8, (2, 2), []),
+        ],
+    )
+    def test_worker_count(self, monkeypatch, jobs, cpus, grid, workers):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        split = verify_characterizations(*grid, jobs=jobs)
+        assert started == workers
+        single = verify_characterizations(*grid, jobs=1)
+        assert (split.counts, split.examined) == (single.counts, single.examined)
+        assert split.counterexamples == single.counterexamples
