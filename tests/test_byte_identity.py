@@ -1,10 +1,10 @@
 """Byte-identity gate: SHA-256 digests of the program's output, frozen.
 
 Each digest covers the exact bytes a user sees: the ``classify`` report
-JSON and the five verdicts over a fixed input set, or the stdout, stderr
-and exit code of a CLI call.  A refactor that changes a verdict, a
-witness, its order or its JSON encoding fails here; the digests change
-only with a deliberate change of output.  Timings are removed before
+JSON and the five verdicts over a fixed input set, or the stdout (with
+stderr for most commands) and exit code of a CLI call.  A refactor that
+changes a verdict, a witness, its order or its JSON encoding fails here;
+the digests change only with a deliberate change of output.  Timings are removed before
 hashing.
 """
 
@@ -40,6 +40,10 @@ SPARSE_BLOCK = (4, 2, 3, 1, 6, 5)
 # enumeration could reorder its output.
 LARGE_SIZES = (21, 37, 47)
 
+# Fixed identity prefixes before a seeded six-letter block: the words whose
+# inversions a scan over all position pairs pays for quadratically.
+KERNEL_PREFIXES = (100, 550, 1000)
+
 DIGESTS = {
     "classify_3x3": "933c4b4b25978d638ce33b3cba6d5f426c01295dd8bea9a133286d8691178139",
     "classify_s6": "d090e1aa0b598203de66bbebd313e03834c2159fffe7fdc87417b0f5a585dcc1",
@@ -48,6 +52,9 @@ DIGESTS = {
     "verify_default": "0c6ea707f34e833da37760612e12346d66eec4f9a1c24bc8a81c681108a2105e",
     "place": "f50cc3aa7256515f976de4d670c6e05da42a1e3c9374a427780b67f778f10922",
     "check_rules": "4c96911fb816b94dbeb78577fac3362960d204bbf67619822e4f34201fcb3354",
+    "diagram_lehmer_s7": "acd31b9420302e0683d3fec2d1805b497a4a0eb97991e0498f948788e32c5ef7",
+    "diagram_lehmer_far_out": "b8b7cd134f589f8d12191ef1e73c9ba81d670bb73a8a41cdb3a3b1e749a9f81f",
+    "build_rows": "d30f30722346342cc5be0ec2f78e9efa18bf5c3aa2ad2ad0c2758ca3002e7fc2",
 }
 
 
@@ -212,3 +219,38 @@ def test_check_rules_output():
         _cli_line(["check", "-"], crossed),
     ]
     assert _digest(lines) == DIGESTS["check_rules"]
+
+
+def _exit_and_stdout(argv) -> str:
+    code, out, _ = _cli(argv)
+    return json.dumps([list(argv), code, out])
+
+
+def test_diagram_and_lehmer_s7():
+    lines = [
+        _exit_and_stdout([command, "".join(map(str, word))])
+        for word in permutations(range(1, 8))
+        for command in ("diagram", "lehmer")
+    ]
+    assert _digest(lines) == DIGESTS["diagram_lehmer_s7"]
+
+
+def test_diagram_and_lehmer_far_out():
+    lines = []
+    for prefix in KERNEL_PREFIXES:
+        block = list(range(1, 7))
+        random.Random(f"byte-identity:block:{prefix}").shuffle(block)
+        word = [*range(1, prefix + 1), *(prefix + v for v in block)]
+        for command in ("diagram", "lehmer"):
+            lines.append(_exit_and_stdout([command, *map(str, word)]))
+    assert _digest(lines) == DIGESTS["diagram_lehmer_far_out"]
+
+
+def test_build_rows_seeded():
+    rng = random.Random("byte-identity:build")
+    lines = []
+    for _ in range(20):
+        length = rng.randint(1, 30)
+        counts = [rng.randint(0, length) for _ in range(length)]
+        lines.append(_exit_and_stdout(["build", "--rows", ",".join(map(str, counts))]))
+    assert _digest(lines) == DIGESTS["build_rows"]
