@@ -2,7 +2,8 @@
 
 Results go to stdout as single-line JSON (or plain text where noted),
 diagnostics to stderr.  Exit code 0 means success, 1 means a check ran and
-failed, 2 means the input or invocation was unusable.
+failed or stdout was closed early, 2 means the input or invocation was
+unusable.
 """
 
 from __future__ import annotations
@@ -310,13 +311,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.handler(args)
+    # A reader that closes stdout early (``| head``) is not bad input.
+    except BrokenPipeError:
+        return 1
     # RecursionError is JSON input nested deeper than the decoder can follow.
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -324,4 +326,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Exit with :func:`main`'s code; a closed stdout exits 1 without a word."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit; let that flush hit devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

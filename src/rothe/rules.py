@@ -15,7 +15,7 @@ The checkers read the facts a :class:`~rothe.core.Diagram` caches, so one
 but for the step-out scan's numbering precondition.  Beyond those facts,
 ``southwest``, ``numbering`` and ``empty_cell_gap`` cost O(cells log cells)
 plus their witnesses, ``dot`` and the popping rules O(horizon + cells), and
-``is_rothe`` O(n^2) to rebuild the diagram of its n-letter candidate word.
+``is_rothe`` O(n log n + cells) to read and rebuild its n-letter candidate.
 Horizontal popping is vertical popping of the transpose, mirrored back.
 """
 
@@ -82,9 +82,7 @@ class DotSet:
         dots = tuple(self.dots)
         object.__setattr__(self, "dots", dots)
         if self.horizon < 1 or len(dots) != self.horizon:
-            raise ValueError(
-                f"expected {self.horizon} dots, got {len(dots)}"
-            )
+            raise ValueError(f"expected {self.horizon} dots, got {len(dots)}")
         rows = [r for r, _ in dots]
         cols = [c for _, c in dots]
         enumerated = list(range(1, self.horizon + 1))

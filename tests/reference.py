@@ -1,11 +1,13 @@
 """Reference algorithms, kept only for differential tests.
 
-These are the direct forms of what ``rothe.rules`` computes from a
-diagram's shared, cached facts: the all-pairs southwest scan, the gap boxes
-counted by scanning every final bubble, the labelings and greedy dots
-built straight from the cell set, and horizontal popping read directly off
-the column dots.  Each reads nothing but ``cells``, so a
-fault in a ``Diagram``'s cached members cannot hide here.
+These are the direct forms of what ``rothe`` computes from a diagram's
+shared, cached facts or with output-sensitive scans: the all-pairs
+southwest scan, the gap boxes counted by scanning every final bubble, the
+labelings and greedy dots built straight from the cell set, horizontal
+popping read directly off the column dots, and the inversions of a word
+found by comparing every pair of positions.  Each reads nothing but ``cells`` or the word, so a
+fault in a ``Diagram``'s cached members or in an output-sensitive scan
+cannot hide here.
 """
 
 from __future__ import annotations
@@ -95,3 +97,17 @@ def horizontal_popping_witnesses(cells) -> tuple[tuple[Cell, Cell], ...]:
             if r in dot_col_of_row and dot_col_of_row[r] < c
         )
     )
+
+
+def inversion_cells(word) -> frozenset[Cell]:
+    """The cell (i, w_j) of every position pair i < j with w_i > w_j."""
+    n = len(word)
+    return frozenset(
+        (i + 1, word[j]) for i in range(n) for j in range(i + 1, n) if word[i] > word[j]
+    )
+
+
+def inversion_counts(word) -> tuple[int, ...]:
+    """For each position, the later positions holding a smaller value."""
+    n = len(word)
+    return tuple(sum(1 for j in range(i + 1, n) if word[i] > word[j]) for i in range(n))

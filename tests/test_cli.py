@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -393,3 +394,31 @@ class TestEntryPoints:
     def test_no_args_shows_usage(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early ends the run quietly with exit 1."""
+
+    def test_in_process_write_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(["lehmer", RUNNING_TEXT]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_module_with_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rothe", "verify", "--grid", "2x2", "--n", "3"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
