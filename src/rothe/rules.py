@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import Iterator
 
 from .core import (
     Cell,
@@ -283,6 +284,21 @@ def final_bubbles(diagram: Diagram) -> frozenset[Cell]:
     return frozenset((r, index[r][-1] if r in index else 0) for r in range(1, top + 1))
 
 
+def _gaps(diagram: Diagram) -> Iterator[tuple[Cell, int, int, int, int, int]]:
+    """The :class:`GapBox` fields of each gap, rows bottom up, left to right."""
+    finals_below: list[int] = []
+    for occupied_below, (row, cols) in enumerate(diagram.row_index.items()):
+        basement_below = row - 1 - occupied_below
+        for left, right in pairwise((0,) + cols):
+            length = right - left - 1
+            if length < 1:
+                continue
+            found = bisect_right(finals_below, right - 1) - bisect_left(finals_below, left)
+            found += basement_below if left == 0 else 0
+            yield (row, right), left, left + length, row - 1, length, found
+        insort(finals_below, cols[-1])
+
+
 def gap_boxes(diagram: Diagram) -> tuple[GapBox, ...]:
     """One box per empty-cell gap, with its final-bubble count filled in.
 
@@ -292,33 +308,15 @@ def gap_boxes(diagram: Diagram) -> tuple[GapBox, ...]:
     box spans the gap's columns together with the left bubble's column,
     over all rows strictly below.
     """
-    finals_below: list[int] = []
-    boxes = []
-    for occupied_below, (row, cols) in enumerate(diagram.row_index.items()):
-        basement_below = row - 1 - occupied_below
-        for left, right in pairwise((0,) + cols):
-            length = right - left - 1
-            if length < 1:
-                continue
-            found = bisect_right(finals_below, right - 1) - bisect_left(finals_below, left)
-            boxes.append(
-                GapBox(
-                    anchor=(row, right),
-                    col_lo=left,
-                    col_hi=left + length,
-                    row_max=row - 1,
-                    gap_len=length,
-                    finals_found=found + (basement_below if left == 0 else 0),
-                )
-            )
-        insort(finals_below, cols[-1])
-    return tuple(boxes)
+    return tuple(GapBox(*gap) for gap in _gaps(diagram))
 
 
 def check_empty_cell_gap(diagram: Diagram) -> RuleReport:
     """Each gap of length ``n`` must have exactly ``n`` finals in its box."""
     witnesses = tuple(
-        box for box in gap_boxes(diagram) if box.finals_found != box.gap_len
+        GapBox(anchor, lo, hi, row_max, length, found)
+        for anchor, lo, hi, row_max, length, found in _gaps(diagram)
+        if found != length
     )
     return RuleReport("empty_cell_gap", witnesses)
 
