@@ -19,23 +19,26 @@ Conventions used throughout the package:
   ``a_i`` counts the inversions starting at position ``i`` and equals the
   number of bubbles in row ``i`` of the diagram.
 
-Dots are defined on the infinite grid.  The greedy dot scan below therefore
-runs to a horizon of twice the diagram's largest coordinate plus two, and
-checks in O(1) that the window's dots fill columns 1..horizon; then every
-later dot lies on the diagonal, for row and column dots alike, so comparing
-the two finite windows is equivalent to comparing the infinite sets.
+Dots are defined on the infinite grid.  Runs of empty rows take
+consecutive unused columns, so the greedy row dots form a short list of
+pieces ``(row_lo, row_hi, col_lo)``: rows row_lo..row_hi take columns
+col_lo, col_lo + 1, ....  Each occupied row adds at most three pieces, and
+the last piece is the identity, for row and column dots alike; it is cut
+at a horizon of twice the diagram's largest coordinate plus two, so that
+expanding every piece gives the finite window the rules once scanned.
 
 A :class:`Diagram` computes the facts the rules share once, on first use,
 as cached members that live and die with the frozen object: sorted cells
-and row index, O(cells log cells); transpose and horizontal labels,
-O(cells); greedy row-dot columns, O(horizon) plus a scan past lower dots
-in each occupied row.  Column facts are the row facts of the transpose.
+and row index, O(cells log cells); transpose, horizontal labels and the
+numbering mismatch, O(cells); the dot pieces and their inverse, O(cells
+log cells), whatever the coordinates.  Column facts are the row facts of
+the transpose.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -55,14 +58,29 @@ __all__ = [
 ]
 
 Cell = tuple[int, int]
+Piece = tuple[int, int, int]
+
+
+class _cached_fact:
+    """A member computed on first use and kept in the instance dict.
+
+    This is ``functools.cached_property`` without the lock that Python 3.11
+    takes on every first access, about 1 µs, which one ``classify`` of a
+    small diagram pays a dozen times.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
+        return value
 
 
 class ParseError(ValueError):
     """Raised when permutation text cannot be parsed."""
-
-
-class StabilizationError(RuntimeError):
-    """The greedy dots did not fill columns 1..horizon (internal bug)."""
 
 
 def _is_int(value: object) -> bool:
@@ -149,6 +167,8 @@ class Diagram:
     ((1, 1), (2, 1))
     >>> d.max_row, d.max_col
     (2, 1)
+    >>> Diagram.from_cells([(1, 1), (2, 2)]).dot_pieces
+    ((1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 6, 4))
     """
 
     cells: frozenset[Cell] = frozenset()
@@ -180,11 +200,11 @@ class Diagram:
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
 
-    @cached_property
+    @_cached_fact
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
 
-    @cached_property
+    @_cached_fact
     def row_index(self) -> Mapping[int, tuple[int, ...]]:
         """Columns of each occupied row, ascending; rows in ascending order."""
         index: dict[int, list[int]] = {}
@@ -192,20 +212,76 @@ class Diagram:
             index.setdefault(r, []).append(c)
         return MappingProxyType({r: tuple(cols) for r, cols in index.items()})
 
-    @cached_property
+    @_cached_fact
     def _transposed(self) -> "Diagram":
         return Diagram(frozenset((c, r) for r, c in self.cells))
 
-    @cached_property
-    def dot_columns(self) -> tuple[int, ...]:
-        """Column of the greedy dot in each row 1..horizon (see the module notes)."""
-        return tuple(_greedy_dot_columns(self, 2 * self.max_coordinate + 2))
+    @_cached_fact
+    def dot_pieces(self) -> tuple[Piece, ...]:
+        """Greedy row dots as pieces ``(row_lo, row_hi, col_lo)`` (see the module notes).
 
-    @cached_property
+        Each dot takes the smallest column right of its row's bubbles that
+        no lower dot uses, so a run of empty rows fills the lowest unused
+        columns, one piece per run of them.
+        """
+        horizon = 2 * self.max_coordinate + 2
+        pieces: list[Piece] = []
+        starts: list[int] = []  # unused columns below top: runs starts[k]..ends[k]
+        ends: list[int] = []
+        top = 0
+        row = 1
+        for next_row, cols in [*self.row_index.items(), (horizon + 1, ())]:
+            while row < next_row:
+                count = next_row - row
+                if not starts:
+                    col = top + 1
+                    top += count
+                elif ends[0] - starts[0] < count:
+                    col = starts.pop(0)
+                    count = ends.pop(0) - col + 1
+                else:
+                    col = starts[0]
+                    starts[0] += count
+                pieces.append((row, row + count - 1, col))
+                row += count
+            if cols:
+                lowest = cols[-1] + 1
+                i = bisect_left(ends, lowest)
+                if i < len(ends):
+                    col = starts[i] if starts[i] > lowest else lowest
+                    _take_columns(starts, ends, i, col, col)
+                else:
+                    col = top + 1 if top >= lowest else lowest
+                    if col > top + 1:
+                        starts.append(top + 1)
+                        ends.append(col - 1)
+                    top = col
+                pieces.append((row, row, col))
+                row += 1
+        return tuple(pieces)
+
+    @_cached_fact
+    def inverse_dot_pieces(self) -> tuple[Piece, ...]:
+        """The dot pieces read by column: ``(col_lo, col_hi, row_lo)``, ascending."""
+        return tuple(sorted([(col, col + hi - lo, lo) for lo, hi, col in self.dot_pieces]))
+
+    @property
+    def dot_columns(self) -> tuple[int, ...]:
+        """Column of the greedy dot in each row 1..horizon, expanded from the pieces."""
+        return tuple(c for lo, hi, col in self.dot_pieces for c in range(col, col + hi - lo + 1))
+
+    @_cached_fact
     def horizontal_labels(self) -> Mapping[Cell, int]:
         """The bubbles of row ``i`` labelled i, i+1, i+2, ... left to right."""
         rows = self.row_index.items()
         return MappingProxyType({(r, c): r + k for r, cols in rows for k, c in enumerate(cols)})
+
+    @_cached_fact
+    def numbering_mismatch(self) -> tuple[Cell, ...]:
+        """Bubbles whose horizontal and vertical labels differ, sorted."""
+        vertical = self._transposed.horizontal_labels
+        labels = self.horizontal_labels.items()
+        return tuple((r, c) for (r, c), label in labels if vertical[c, r] != label)
 
     @property
     def max_row(self) -> int:
@@ -446,50 +522,67 @@ def row_counts(diagram: Diagram) -> LehmerCode:
     return LehmerCode.from_counts(len(diagram.row_columns(r)) for r in rows)
 
 
-def _greedy_dot_columns(diagram: Diagram, horizon: int) -> list[int]:
-    """Column of the dot in each row 1..horizon, scanning bottom up.
+def _take_columns(starts: list[int], ends: list[int], i: int, lo: int, hi: int) -> None:
+    """Remove the columns lo..hi from the unused run ``starts[i]..ends[i]`` that holds them."""
+    if lo > starts[i] and hi < ends[i]:
+        starts.insert(i + 1, hi + 1)
+        ends.insert(i, lo - 1)
+    elif lo > starts[i]:
+        ends[i] = lo - 1
+    elif hi < ends[i]:
+        starts[i] = hi + 1
+    else:
+        del starts[i], ends[i]
 
-    Each dot takes the smallest column strictly right of every bubble in
-    its row and not used by a lower dot.  A pointer to the smallest unused
-    column, which only moves up, makes each empty row O(1).  The window is
-    complete when its dots fill columns 1..horizon, so that every later dot
-    lies on the diagonal; that is checked once at the end.
+
+def _rothe_difference(diagram: Diagram) -> list[Cell]:
+    """Cells by which the diagram differs from that of its row-dot word, sorted.
+
+    Every row of a piece has the same cells in the word's diagram: the
+    columns below its ``col_lo`` that earlier pieces left unused.  Those
+    rows are compared with the row index, so the cost is O(pieces log
+    pieces + cells + witnesses).
     """
+    starts: list[int] = []  # unused columns below top, as in Diagram.dot_pieces
+    ends: list[int] = []
+    top = 0
+    expected: dict[int, tuple[int, ...]] = {}
+    for row_lo, row_hi, col_lo in diagram.dot_pieces:
+        col_hi = col_lo + row_hi - row_lo
+        if col_lo <= top:
+            _take_columns(starts, ends, bisect_right(starts, col_lo) - 1, col_lo, col_hi)
+        else:
+            if col_lo > top + 1:
+                starts.append(top + 1)
+                ends.append(col_lo - 1)
+            top = col_hi
+        if starts and starts[0] < col_lo:
+            cells: list[int] = []
+            for lo, hi in zip(starts, ends):
+                if lo > col_lo:
+                    break
+                cells += range(lo, hi + 1)
+            expected.update(dict.fromkeys(range(row_lo, row_hi + 1), tuple(cells)))
     index = diagram.row_index
-    used: set[int] = set()
-    lowest = 1
-    columns: list[int] = []
-    for row in range(1, horizon + 1):
-        cols = index.get(row)
-        col = max(cols[-1] + 1, lowest) if cols else lowest
-        while col in used:
-            col += 1
-        used.add(col)
-        columns.append(col)
-        while lowest in used:
-            lowest += 1
-    if lowest != horizon + 1:
-        raise StabilizationError(f"dots of rows 1..{horizon} leave column {lowest} unused")
-    return columns
-
-
-def _dot_candidate(diagram: Diagram) -> tuple[Permutation, frozenset[Cell]]:
-    """The word read off the row-dot columns, and the cells where its diagram differs."""
-    candidate = Permutation.from_word(diagram.dot_columns)
-    return candidate, diagram.cells ^ rothe_diagram(candidate).cells
+    difference: list[Cell] = []
+    if expected != index:
+        for row in sorted(index.keys() | expected.keys()):
+            cols, wanted = index.get(row, ()), expected.get(row, ())
+            if cols != wanted:
+                difference += [(row, c) for c in sorted(set(cols).symmetric_difference(wanted))]
+    return difference
 
 
 def recover_permutation(diagram: Diagram) -> Optional[Permutation]:
     """The permutation whose Rothe diagram is ``diagram``, if one exists.
 
     The row-dot columns of a Rothe diagram spell out the one-line word,
-    so the only possible preimage is the dot reading; it is checked by
-    rebuilding the diagram.
+    so the only possible preimage is the dot reading; it is checked
+    against the diagram piece by piece.
 
     >>> recover_permutation(Diagram.from_cells([(1, 1), (2, 1)])).word
     (2, 3, 1)
     >>> recover_permutation(Diagram.from_cells([(1, 2), (2, 1)])) is None
     True
     """
-    candidate, difference = _dot_candidate(diagram)
-    return None if difference else candidate
+    return None if _rothe_difference(diagram) else Permutation.from_word(diagram.dot_columns)

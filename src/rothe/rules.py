@@ -6,16 +6,19 @@ cell pair, a cell with conflicting labels, or a gap box with the wrong
 number of final bubbles.  A report holds exactly when it has no witnesses.
 
 :data:`RULES` maps each rule name to its checker; :func:`classify` and the
-``check --rules`` command both read it.  The greedy dot scan lives in
-:mod:`rothe.core`, which reads permutations off the dots; it raises
-:class:`StabilizationError` if its window's dots leave a column unused.
+``check --rules`` command both read it.  The greedy dots live in
+:mod:`rothe.core` as pieces, runs of rows that take consecutive columns,
+which also reads permutations off them.
 
 The checkers read the facts a :class:`~rothe.core.Diagram` caches, so one
-:func:`classify` computes each fact once; no rule reads another's verdict
-but for the step-out scan's numbering precondition.  Beyond those facts,
-``southwest``, ``numbering`` and ``empty_cell_gap`` cost O(cells log cells)
-plus their witnesses, ``dot`` and the popping rules O(horizon + cells), and
-``is_rothe`` O(n log n + cells) to read and rebuild its n-letter candidate.
+:func:`classify` computes each fact once; no rule reads another's verdict,
+and the numbering rule and the step-out scan's precondition read the same
+cached numbering mismatch.  Beyond those facts, ``southwest``,
+``numbering`` and ``empty_cell_gap`` cost O(cells log cells) plus their
+witnesses, ``dot`` O(pieces) plus its witnesses, the popping rules
+O(cells log cells + pieces), and ``is_rothe`` O(pieces log pieces + cells)
+plus its witnesses; none depends on how large a coordinate is.  A failing
+far-out diagram can still have O(largest coordinate) dot witnesses.
 Horizontal popping is vertical popping of the transpose, mirrored back.
 """
 
@@ -29,10 +32,9 @@ from typing import Iterator
 from .core import (
     Cell,
     Diagram,
-    StabilizationError,
-    _dot_candidate,
     _FieldsJson,
     _json_value,
+    _rothe_difference,
 )
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "NumberingRequiredError",
     "RULES",
     "RuleReport",
-    "StabilizationError",
     "check_dot_rule",
     "check_empty_cell_gap",
     "check_horizontal_popping",
@@ -165,20 +166,46 @@ def column_dots(diagram: Diagram) -> DotSet:
 
 
 def check_dot_rule(diagram: Diagram) -> RuleReport:
-    """Row dots and column dots must agree as sets."""
-    by_row = set(enumerate(diagram.dot_columns, 1))
-    by_column = {(r, c) for c, r in enumerate(diagram.transpose().dot_columns, 1)}
-    return RuleReport("dot", tuple(sorted(by_row ^ by_column)))
+    """Row dots and column dots must agree as sets.
+
+    Both put one dot in each row, so they differ exactly in the rows where
+    the row dot and the column dot sit in different columns, and each such
+    row gives both dots as witnesses.  Two overlapping pieces with the same
+    offset agree on every row they share, so only the others are expanded.
+    """
+    by_row = diagram.dot_pieces
+    by_column = diagram.transpose().inverse_dot_pieces
+    witnesses: list[Cell] = []
+    i = j = 0
+    row = 1
+    while i < len(by_row):
+        row_lo, row_hi, col_lo = by_row[i]
+        other_lo, other_hi, other_col = by_column[j]
+        end = min(row_hi, other_hi)
+        shift, other_shift = col_lo - row_lo, other_col - other_lo
+        if shift != other_shift:
+            shifts = (shift, other_shift) if shift < other_shift else (other_shift, shift)
+            witnesses += [(r, r + d) for r in range(row, end + 1) for d in shifts]
+        row = end + 1
+        i += row_hi == end
+        j += other_hi == end
+    return RuleReport("dot", tuple(witnesses))
 
 
 def check_vertical_popping(diagram: Diagram) -> RuleReport:
-    """No bubble may sit strictly above a row dot in its column."""
-    dot_row_of_col = {c: r for r, c in enumerate(diagram.dot_columns, 1)}
-    witnesses = sorted(
-        ((r, c), (dot_row_of_col[c], c))
-        for r, c in diagram.cells
-        if c in dot_row_of_col and dot_row_of_col[c] < r
-    )
+    """No bubble may sit strictly above a row dot in its column.
+
+    The occupied columns, ascending, are matched with the pieces read by
+    column in one pass, which gives the row of each one's dot.
+    """
+    pieces = iter(diagram.inverse_dot_pieces)
+    col_lo, col_hi, row_lo = next(pieces)
+    dot_row = {}
+    for c in sorted({c for _, c in diagram.cells}):
+        while col_hi < c:
+            col_lo, col_hi, row_lo = next(pieces)
+        dot_row[c] = row_lo + c - col_lo
+    witnesses = [((r, c), (dot_row[c], c)) for r, c in diagram.sorted_cells if dot_row[c] < r]
     return RuleReport("vertical_popping", tuple(witnesses))
 
 
@@ -235,11 +262,7 @@ def vertical_numbering(diagram: Diagram) -> Labeling:
 
 def check_numbering(diagram: Diagram) -> RuleReport:
     """The horizontal and vertical numberings must be the same labeling."""
-    vertical = diagram.transpose().horizontal_labels
-    witnesses = sorted(
-        (r, c) for (r, c), label in diagram.horizontal_labels.items() if vertical[c, r] != label
-    )
-    return RuleReport("numbering", tuple(witnesses))
+    return RuleReport("numbering", diagram.numbering_mismatch)
 
 
 def _step_outs(labels: Labeling) -> tuple[tuple[Cell, Cell], ...]:
@@ -264,7 +287,7 @@ def find_step_outs(diagram: Diagram) -> RuleReport:
     Only defined when the numbering condition holds; otherwise the labels
     are ambiguous and a :class:`NumberingRequiredError` is raised.
     """
-    if not check_numbering(diagram).holds:
+    if diagram.numbering_mismatch:
         raise NumberingRequiredError(
             "step-out scan requires the horizontal and vertical numberings to agree"
         )
@@ -327,7 +350,7 @@ def check_rothe(diagram: Diagram) -> RuleReport:
     The row-dot columns determine the only candidate word; the witnesses
     are the cells by which the candidate's diagram differs.
     """
-    return RuleReport("is_rothe", tuple(sorted(_dot_candidate(diagram)[1])))
+    return RuleReport("is_rothe", tuple(_rothe_difference(diagram)))
 
 
 RULES = {

@@ -8,15 +8,24 @@ popping read directly off the column dots, and the inversions of a word
 found by comparing every pair of positions.  Each reads nothing but ``cells`` or the word, so a
 fault in a ``Diagram``'s cached members or in an output-sensitive scan
 cannot hide here.
+
+The ``window_*`` functions are the rules that read the greedy dots, as
+they were computed before the dots became pieces: one dot per row up to a
+horizon of twice the largest coordinate plus two, with the guard that the
+window's dots fill columns 1..horizon.
 """
 
 from __future__ import annotations
 
 from itertools import pairwise
 
-from rothe import GapBox
+from rothe import GapBox, Permutation, rothe_diagram
 
 Cell = tuple[int, int]
+
+
+class StabilizationError(RuntimeError):
+    """The greedy dots of a window did not fill columns 1..horizon."""
 
 
 def row_columns(cells, row: int) -> tuple[int, ...]:
@@ -85,6 +94,63 @@ def dot_columns(cells) -> tuple[int, ...]:
         used.add(col)
         columns.append(col)
     return tuple(columns)
+
+
+def greedy_dot_columns(cells, horizon: int) -> list[int]:
+    """Column of the dot in each row 1..horizon, scanning bottom up.
+
+    Each dot takes the smallest column strictly right of every bubble in
+    its row and not used by a lower dot.  A pointer to the smallest unused
+    column, which only moves up, makes each empty row O(1).  The window is
+    complete when its dots fill columns 1..horizon, so that every later dot
+    lies on the diagonal; that is checked once at the end.
+    """
+    last = {}
+    for r, c in cells:
+        last[r] = max(last.get(r, 0), c)
+    used: set[int] = set()
+    lowest = 1
+    columns: list[int] = []
+    for row in range(1, horizon + 1):
+        col = max(last[row] + 1, lowest) if row in last else lowest
+        while col in used:
+            col += 1
+        used.add(col)
+        columns.append(col)
+        while lowest in used:
+            lowest += 1
+    if lowest != horizon + 1:
+        raise StabilizationError(f"dots of rows 1..{horizon} leave column {lowest} unused")
+    return columns
+
+
+def window_dot_columns(cells) -> list[int]:
+    return greedy_dot_columns(cells, 2 * max((max(cell) for cell in cells), default=0) + 2)
+
+
+def window_dot_witnesses(cells) -> tuple[Cell, ...]:
+    """Row dots and column dots of the window, compared as sets."""
+    by_row = set(enumerate(window_dot_columns(cells), 1))
+    by_column = {(r, c) for c, r in enumerate(window_dot_columns(transpose(cells)), 1)}
+    return tuple(sorted(by_row ^ by_column))
+
+
+def window_vertical_popping_witnesses(cells) -> tuple[tuple[Cell, Cell], ...]:
+    """Each bubble strictly above the row dot in its column, with that dot."""
+    dot_row_of_col = {c: r for r, c in enumerate(window_dot_columns(cells), 1)}
+    return tuple(
+        sorted(
+            ((r, c), (dot_row_of_col[c], c))
+            for r, c in cells
+            if c in dot_row_of_col and dot_row_of_col[c] < r
+        )
+    )
+
+
+def window_rothe_reading(cells) -> tuple[Permutation, tuple[Cell, ...]]:
+    """The word read off the window's row dots, and the cells where its diagram differs."""
+    candidate = Permutation.from_word(window_dot_columns(cells))
+    return candidate, tuple(sorted(frozenset(cells) ^ rothe_diagram(candidate).cells))
 
 
 def horizontal_popping_witnesses(cells) -> tuple[tuple[Cell, Cell], ...]:

@@ -1,9 +1,10 @@
 """The rules that read the greedy dots, against their direct forms.
 
 Horizontal popping is vertical popping of the transpose, mirrored back; it
-must equal the direct scan in ``reference.py``.  The dot window's guard
-must reject a horizon whose dots leave a column unused, and the one dot
-reading must serve ``recover_permutation`` and ``is_rothe`` alike.
+must equal the direct scan in ``reference.py``.  The reference dot
+window's guard must reject a horizon whose dots leave a column unused, and
+the one dot reading must serve ``recover_permutation`` and ``is_rothe``
+alike.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 import reference
 from rothe import (
     Diagram,
-    StabilizationError,
     check_horizontal_popping,
     check_rothe,
     classify,
@@ -22,7 +22,6 @@ from rothe import (
     recover_permutation,
     rothe_diagram,
 )
-from rothe.core import _greedy_dot_columns
 from test_shared_analysis import cell_sets
 
 
@@ -47,9 +46,9 @@ def test_horizontal_popping_random_cell_sets(cells):
 
 def test_short_horizon_raises():
     diagram = Diagram.from_cells([(1, 1)])
-    with pytest.raises(StabilizationError):
-        _greedy_dot_columns(diagram, 1)  # the one dot lands in column 2
-    assert _greedy_dot_columns(diagram, 2) == [2, 1]
+    with pytest.raises(reference.StabilizationError):
+        reference.greedy_dot_columns(diagram.cells, 1)  # the one dot lands in column 2
+    assert reference.greedy_dot_columns(diagram.cells, 2) == [2, 1]
 
 
 def test_recovery_fails_exactly_when_is_rothe_fails():
