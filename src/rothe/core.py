@@ -26,6 +26,9 @@ col_lo, col_lo + 1, ....  Each occupied row adds at most three pieces, and
 the last piece is the identity, for row and column dots alike; it is cut
 at a horizon of twice the diagram's largest coordinate plus two, so that
 expanding every piece gives the finite window the rules once scanned.
+One walk places the dots and keeps the unused columns as runs; those up
+to an occupied row's last bubble are its row in the dot word's diagram,
+which ``is_rothe`` reads in O(pieces log pieces + cells) plus witnesses.
 
 A :class:`Diagram` computes the facts the rules share once, on first use,
 as cached members that live and die with the frozen object: sorted cells
@@ -40,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, is_dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Cell",
@@ -218,47 +221,9 @@ class Diagram:
 
     @_cached_fact
     def dot_pieces(self) -> tuple[Piece, ...]:
-        """Greedy row dots as pieces ``(row_lo, row_hi, col_lo)`` (see the module notes).
-
-        Each dot takes the smallest column right of its row's bubbles that
-        no lower dot uses, so a run of empty rows fills the lowest unused
-        columns, one piece per run of them.
-        """
-        horizon = 2 * self.max_coordinate + 2
-        pieces: list[Piece] = []
-        starts: list[int] = []  # unused columns below top: runs starts[k]..ends[k]
-        ends: list[int] = []
-        top = 0
-        row = 1
-        for next_row, cols in [*self.row_index.items(), (horizon + 1, ())]:
-            while row < next_row:
-                count = next_row - row
-                if not starts:
-                    col = top + 1
-                    top += count
-                elif ends[0] - starts[0] < count:
-                    col = starts.pop(0)
-                    count = ends.pop(0) - col + 1
-                else:
-                    col = starts[0]
-                    starts[0] += count
-                pieces.append((row, row + count - 1, col))
-                row += count
-            if cols:
-                lowest = cols[-1] + 1
-                i = bisect_left(ends, lowest)
-                if i < len(ends):
-                    col = starts[i] if starts[i] > lowest else lowest
-                    _take_columns(starts, ends, i, col, col)
-                else:
-                    col = top + 1 if top >= lowest else lowest
-                    if col > top + 1:
-                        starts.append(top + 1)
-                        ends.append(col - 1)
-                    top = col
-                pieces.append((row, row, col))
-                row += 1
-        return tuple(pieces)
+        """Greedy row dots as pieces ``(row_lo, row_hi, col_lo)`` (see :func:`_dot_walk`)."""
+        # Through a list: a tuple grown from the generator raised peak memory.
+        return tuple([*_dot_walk(self, [], [])])
 
     @_cached_fact
     def inverse_dot_pieces(self) -> tuple[Piece, ...]:
@@ -291,7 +256,7 @@ class Diagram:
     def max_col(self) -> int:
         return max((cols[-1] for cols in self.row_index.values()), default=0)
 
-    @property
+    @_cached_fact
     def max_coordinate(self) -> int:
         return max(self.max_row, self.max_col)
 
@@ -522,53 +487,77 @@ def row_counts(diagram: Diagram) -> LehmerCode:
     return LehmerCode.from_counts(len(diagram.row_columns(r)) for r in rows)
 
 
-def _take_columns(starts: list[int], ends: list[int], i: int, lo: int, hi: int) -> None:
-    """Remove the columns lo..hi from the unused run ``starts[i]..ends[i]`` that holds them."""
-    if lo > starts[i] and hi < ends[i]:
-        starts.insert(i + 1, hi + 1)
-        ends.insert(i, lo - 1)
-    elif lo > starts[i]:
-        ends[i] = lo - 1
-    elif hi < ends[i]:
-        starts[i] = hi + 1
+def _take_column(starts: list[int], ends: list[int], i: int, col: int) -> None:
+    """Remove ``col`` from the unused run ``starts[i]..ends[i]`` that holds it."""
+    if starts[i] < col < ends[i]:
+        starts.insert(i + 1, col + 1)
+        ends.insert(i, col - 1)
+    elif col > starts[i]:
+        ends[i] = col - 1
+    elif col < ends[i]:
+        starts[i] = col + 1
     else:
         del starts[i], ends[i]
+
+
+def _dot_walk(diagram: Diagram, starts: list[int], ends: list[int]) -> Iterator[Piece]:
+    """The greedy row dots, piece by piece, keeping the columns they leave unused.
+
+    Each dot takes the smallest column right of its row's bubbles that no
+    lower dot uses, so a run of empty rows fills the lowest unused columns,
+    one piece per run.  The unused columns below the highest dot are kept as
+    runs ``starts[k]..ends[k]`` in the caller's two empty lists, which the
+    caller reads after a piece and before it asks for the next.
+    """
+    horizon = 2 * diagram.max_coordinate + 2
+    top = 0
+    row = 1
+    for next_row, cols in [*diagram.row_index.items(), (horizon + 1, ())]:
+        while row < next_row:
+            count = next_row - row
+            if not starts:
+                col = top + 1
+                top += count
+            elif ends[0] - starts[0] < count:
+                col = starts.pop(0)
+                count = ends.pop(0) - col + 1
+            else:
+                col = starts[0]
+                starts[0] += count
+            yield row, row + count - 1, col
+            row += count
+        if cols:
+            lowest = cols[-1] + 1
+            i = bisect_left(ends, lowest)
+            if i < len(ends):
+                col = starts[i] if starts[i] > lowest else lowest
+                _take_column(starts, ends, i, col)
+            else:
+                col = top + 1 if top >= lowest else lowest
+                if col > top + 1:
+                    starts.append(top + 1)
+                    ends.append(col - 1)
+                top = col
+            yield row, row, col
+            row += 1
 
 
 def _rothe_difference(diagram: Diagram) -> list[Cell]:
     """Cells by which the diagram differs from that of its row-dot word, sorted.
 
-    Every row of a piece has the same cells in the word's diagram: the
-    columns below its ``col_lo`` that earlier pieces left unused.  Those
-    rows are compared with the row index, so the cost is O(pieces log
-    pieces + cells + witnesses).
+    Runs of empty rows take the lowest unused columns, so their rows hold
+    no cells and never differ.  An occupied row, once its dot is placed,
+    holds the unused runs that start at or below its last bubble.
     """
-    starts: list[int] = []  # unused columns below top, as in Diagram.dot_pieces
+    starts: list[int] = []
     ends: list[int] = []
-    top = 0
-    expected: dict[int, tuple[int, ...]] = {}
-    for row_lo, row_hi, col_lo in diagram.dot_pieces:
-        col_hi = col_lo + row_hi - row_lo
-        if col_lo <= top:
-            _take_columns(starts, ends, bisect_right(starts, col_lo) - 1, col_lo, col_hi)
-        else:
-            if col_lo > top + 1:
-                starts.append(top + 1)
-                ends.append(col_lo - 1)
-            top = col_hi
-        if starts and starts[0] < col_lo:
-            cells: list[int] = []
-            for lo, hi in zip(starts, ends):
-                if lo > col_lo:
-                    break
-                cells += range(lo, hi + 1)
-            expected.update(dict.fromkeys(range(row_lo, row_hi + 1), tuple(cells)))
-    index = diagram.row_index
     difference: list[Cell] = []
-    if expected != index:
-        for row in sorted(index.keys() | expected.keys()):
-            cols, wanted = index.get(row, ()), expected.get(row, ())
-            if cols != wanted:
+    for row, _, _ in _dot_walk(diagram, starts, ends):
+        if cols := diagram.row_index.get(row):
+            wanted: list[int] = []
+            for k in range(bisect_right(starts, cols[-1])):
+                wanted += range(starts[k], ends[k] + 1)
+            if tuple(wanted) != cols:
                 difference += [(row, c) for c in sorted(set(cols).symmetric_difference(wanted))]
     return difference
 
@@ -578,7 +567,7 @@ def recover_permutation(diagram: Diagram) -> Optional[Permutation]:
 
     The row-dot columns of a Rothe diagram spell out the one-line word,
     so the only possible preimage is the dot reading; it is checked
-    against the diagram piece by piece.
+    against the diagram row by row.
 
     >>> recover_permutation(Diagram.from_cells([(1, 1), (2, 1)])).word
     (2, 3, 1)

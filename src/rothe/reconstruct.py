@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable
 
-from .core import Cell, CodeLike, Diagram, _as_counts, _FieldsJson, _is_int, recover_permutation
+from .core import Cell, CodeLike, Diagram, _as_counts, _FieldsJson, _is_int, _rothe_difference
 from .rules import NumberingRequiredError, RuleReport, _step_outs
 
 __all__ = [
@@ -66,6 +66,8 @@ class FreeColumns:
         ):
             raise ValueError('"columns" must be a list of row lists')
         for index, col in enumerate(columns, 1):
+            if invalid := [row for row in col if not _is_int(row)]:
+                raise ValueError(f"column {index} has invalid row {invalid[0]!r}")
             if len(set(col)) != len(col):
                 raise ValueError(f"column {index} repeats a row")
         return cls.from_sets(columns)
@@ -203,7 +205,7 @@ def place_free_columns(collection: FreeColumns) -> tuple[Placement, Diagram] | N
 
     Succeeds exactly when the collection passes the free numbering check
     and has no free step-outs; each column then lands at the label of its
-    lowest bubble, and the assembled diagram always recovers a permutation.
+    lowest bubble, and the assembled diagram is always a Rothe diagram.
 
     >>> placement, diagram = place_free_columns(FreeColumns.from_sets([[1, 2]]))
     >>> placement.positions, sorted(diagram.cells)
@@ -219,6 +221,6 @@ def place_free_columns(collection: FreeColumns) -> tuple[Placement, Diagram] | N
         (row, pos) for pos, col in zip(positions, collection.columns) for row in col
     )
     diagram = Diagram(cells)
-    if recover_permutation(diagram) is None:
+    if _rothe_difference(diagram):
         raise RuntimeError(f"placed diagram is not recoverable: {sorted(cells)}")
     return Placement(positions), diagram

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rothe import Diagram, FreeColumns, LehmerCode
 from rothe.cli import main
@@ -20,6 +21,7 @@ from goldens import (
     RUNNING_CODE,
     RUNNING_TEXT,
 )
+from test_byte_identity import _cli
 
 # ASCII goldens, French convention (row 1 printed last).  Derived by hand
 # from the greedy dot rules and the labeling procedure, then frozen.
@@ -48,6 +50,17 @@ GOLDEN_RUNNING_DOTS = "\n".join(
         "*........",
     ]
 )
+
+
+json_leaves = st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+json_leaves |= st.integers(-2, 12) | st.integers(-(10**20), 10**20)
+json_documents = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+row_lists = st.lists(st.lists(json_documents, max_size=3), max_size=3)
+place_documents = json_documents | st.fixed_dictionaries({"columns": row_lists})
 
 
 def run_cli(args, capsys, stdin_text=None, monkeypatch=None):
@@ -267,6 +280,26 @@ class TestPlaceCommand:
         first, second = out.strip().split("\n")
         assert json.loads(first) == {"positions": []}
         assert json.loads(second) == {"cells": []}
+
+    @pytest.mark.parametrize("payload", ['{"columns": [[[1]]]}', '{"columns": [[{}]]}'])
+    def test_unhashable_row_exit_2(self, payload, capsys, monkeypatch):
+        code, out, err = run_cli(["place", "-"], capsys, stdin_text=payload, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: column 1 has invalid row ") and err.count("\n") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(place_documents)
+    def test_fuzz_json_never_crashes(self, document):
+        """Any JSON document on stdin exits 0, 1 or 2, and 2 with one error line.
+
+        ``check`` and ``render`` stay out of this test: their witness lists
+        and drawings grow with the largest coordinate, so a document of a
+        few bytes with a large integer can run out of memory.
+        """
+        code, _, err = _cli(["place", "-"], json.dumps(document))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:

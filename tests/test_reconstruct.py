@@ -37,6 +37,7 @@ from goldens import (
     RUNNING_CELLS,
     RUNNING_CODE,
 )
+from test_dot_pieces import best_ms
 
 
 class TestBuildFromRowCounts:
@@ -189,6 +190,14 @@ class TestPlaceFreeColumns:
         placement, diagram = result
         for pos, rows in zip(placement.positions, FREE_COLUMNS):
             assert diagram.column_rows(pos) == tuple(sorted(rows))
+
+    def test_budget_far_row(self):
+        """A column at row 10^20 costs its cells, not a dot word of 2 * 10^20 letters."""
+        collection = FreeColumns.from_sets([{10**20}])
+        elapsed_ms = best_ms(lambda: place_free_columns(collection))
+        placement, _ = place_free_columns(collection)
+        assert placement.positions == (10**20,)
+        assert elapsed_ms < 5, f"place_free_columns took {elapsed_ms:.2f} ms"
 
     @settings(max_examples=200, deadline=None)
     @given(
