@@ -6,108 +6,12 @@ counts or free column collections, and brute-forces the equivalences over
 small bounds.
 """
 
-from .core import (
-    Cell,
-    Diagram,
-    LehmerCode,
-    ParseError,
-    Permutation,
-    lehmer_code,
-    parse_permutation,
-    permutation_from_lehmer,
-    recover_permutation,
-    rothe_diagram,
-    rothe_via_death_rays,
-    row_counts,
-)
-from .rules import (
-    DotSet,
-    GapBox,
-    NumberingRequiredError,
-    RuleReport,
-    check_dot_rule,
-    check_empty_cell_gap,
-    check_horizontal_popping,
-    check_numbering,
-    check_rothe,
-    check_southwest,
-    check_vertical_popping,
-    classify,
-    column_dots,
-    condition_verdicts,
-    final_bubbles,
-    find_step_outs,
-    gap_boxes,
-    horizontal_numbering,
-    row_dots,
-    vertical_numbering,
-)
-from .reconstruct import (
-    FreeColumns,
-    Placement,
-    build_from_row_counts,
-    build_stepout_avoiding,
-    check_free_numbering,
-    find_free_step_outs,
-    place_free_columns,
-)
-from .oracle import (
-    EquivalenceReport,
-    SweepReport,
-    enumerate_grid_diagrams,
-    enumerate_permutations,
-    verify_characterizations,
-    verify_lehmer_bijection,
-    verify_rothe_properties,
-)
+from . import core, oracle, reconstruct, rules
+from .core import *
+from .oracle import *
+from .reconstruct import *
+from .rules import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cell",
-    "Diagram",
-    "DotSet",
-    "EquivalenceReport",
-    "FreeColumns",
-    "GapBox",
-    "LehmerCode",
-    "NumberingRequiredError",
-    "ParseError",
-    "Permutation",
-    "Placement",
-    "RuleReport",
-    "SweepReport",
-    "build_from_row_counts",
-    "build_stepout_avoiding",
-    "check_dot_rule",
-    "check_empty_cell_gap",
-    "check_free_numbering",
-    "check_horizontal_popping",
-    "check_numbering",
-    "check_rothe",
-    "check_southwest",
-    "check_vertical_popping",
-    "classify",
-    "column_dots",
-    "condition_verdicts",
-    "enumerate_grid_diagrams",
-    "enumerate_permutations",
-    "final_bubbles",
-    "find_free_step_outs",
-    "find_step_outs",
-    "gap_boxes",
-    "horizontal_numbering",
-    "lehmer_code",
-    "parse_permutation",
-    "permutation_from_lehmer",
-    "place_free_columns",
-    "recover_permutation",
-    "rothe_diagram",
-    "rothe_via_death_rays",
-    "row_counts",
-    "row_dots",
-    "vertical_numbering",
-    "verify_characterizations",
-    "verify_lehmer_bijection",
-    "verify_rothe_properties",
-]
+__all__ = sorted([*core.__all__, *rules.__all__, *reconstruct.__all__, *oracle.__all__])

@@ -130,7 +130,7 @@ class Permutation:
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
         n = len(word)
-        if sorted(word) != list(range(1, n + 1)):
+        if not all(type(v) is int for v in word) or sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"word {word} is not a permutation of 1..{n}")
         if word and word[-1] == n:
             raise ValueError(f"word {word} is not canonical: last position is fixed")
@@ -182,8 +182,8 @@ class Diagram:
             if not (
                 isinstance(cell, tuple)
                 and len(cell) == 2
-                and isinstance(cell[0], int)
-                and isinstance(cell[1], int)
+                and type(cell[0]) is int
+                and type(cell[1]) is int
             ):
                 raise ValueError(f"cell {cell!r} is not an integer pair")
             if cell[0] < 1 or cell[1] < 1:
@@ -308,7 +308,7 @@ class LehmerCode(_FieldsJson):
     def __post_init__(self) -> None:
         counts = tuple(self.counts)
         object.__setattr__(self, "counts", counts)
-        if any(not isinstance(a, int) or a < 0 for a in counts):
+        if any(type(a) is not int or a < 0 for a in counts):
             raise ValueError(f"counts {counts} must be nonnegative integers")
         if counts and counts[-1] == 0:
             raise ValueError(f"counts {counts} are not canonical: trailing zero")

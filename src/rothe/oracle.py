@@ -10,17 +10,19 @@ from :mod:`rothe.rules`, so a fault in the rules' shared facts cannot hide
 in the sweep that checks them; ``tests/test_sweep_kernel.py`` pins it to
 :func:`~rothe.rules.condition_verdicts`.  At about 17 µs a mask, one
 process sweeps 3x4 in 0.07 s and 4x4 in 1.1 s; one 2^20-mask chunk of 5x5
-took 22 s, so all of 5x5 should take about 12 minutes.
+took 22 s, so all of 5x5 should take about 12 minutes.  The process pool
+is loaded only when ``jobs`` (``rothe verify --jobs``) asks for more than
+one worker.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _lex_words
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import (
     Cell,
@@ -228,7 +230,7 @@ def verify_characterizations(rows: int, cols: int, jobs: int = 1) -> Equivalence
     else:
         step = -(-size // jobs)
         spans = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             pieces = list(
                 pool.map(
                     _characterization_chunk,
@@ -268,23 +270,14 @@ class SweepReport(_FieldsJson):
     elapsed_ms: float
 
 
-def verify_lehmer_bijection(n: int) -> SweepReport:
-    """Round-trip every permutation of {1..n} through its row counts.
-
-    Each permutation must survive code-and-decode unchanged, and the greedy
-    builder must reproduce its diagram from the code alone.
-    """
+def _sweep(n: int, failures_of: Callable[[Permutation], list[dict]]) -> SweepReport:
+    """Collect the failures ``failures_of`` finds on each permutation of {1..n}, timed."""
     started = time.perf_counter()
     checked = 0
     failures: list[dict] = []
     for w in enumerate_permutations(n):
         checked += 1
-        code = lehmer_code(w)
-        if permutation_from_lehmer(code) != w:
-            failures.append({"permutation": str(w), "stage": "round_trip"})
-            continue
-        if build_from_row_counts(code) != rothe_diagram(w):
-            failures.append({"permutation": str(w), "stage": "build"})
+        failures.extend(failures_of(w))
     elapsed = (time.perf_counter() - started) * 1000
     return SweepReport(
         bounds=f"n={n}",
@@ -295,21 +288,31 @@ def verify_lehmer_bijection(n: int) -> SweepReport:
     )
 
 
+def verify_lehmer_bijection(n: int) -> SweepReport:
+    """Round-trip every permutation of {1..n} through its row counts.
+
+    Each permutation must survive code-and-decode unchanged, and the greedy
+    builder must reproduce its diagram from the code alone.
+    """
+
+    def failures_of(w: Permutation) -> list[dict]:
+        code = lehmer_code(w)
+        if permutation_from_lehmer(code) != w:
+            return [{"permutation": str(w), "stage": "round_trip"}]
+        if build_from_row_counts(code) != rothe_diagram(w):
+            return [{"permutation": str(w), "stage": "build"}]
+        return []
+
+    return _sweep(n, failures_of)
+
+
 def verify_rothe_properties(n: int) -> SweepReport:
     """Every rule must hold on the diagram of every permutation of {1..n}."""
-    started = time.perf_counter()
-    checked = 0
-    failures: list[dict] = []
-    for w in enumerate_permutations(n):
-        checked += 1
-        for report in classify(rothe_diagram(w)):
-            if not report.holds:
-                failures.append({"permutation": str(w), "rule": report.rule})
-    elapsed = (time.perf_counter() - started) * 1000
-    return SweepReport(
-        bounds=f"n={n}",
-        checked=checked,
-        failures=tuple(failures),
-        failure_total=len(failures),
-        elapsed_ms=elapsed,
+    return _sweep(
+        n,
+        lambda w: [
+            {"permutation": str(w), "rule": report.rule}
+            for report in classify(rothe_diagram(w))
+            if not report.holds
+        ],
     )

@@ -13,10 +13,14 @@ The ``window_*`` functions are the rules that read the greedy dots, as
 they were computed before the dots became pieces: one dot per row up to a
 horizon of twice the largest coordinate plus two, with the guard that the
 window's dots fill columns 1..horizon.
+
+``vertical_ascension`` is the paper's rule of that name, which ``rothe``
+does not run; the tests compare it with the library's Rothe verdict.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from itertools import pairwise
 
 from rothe import GapBox, Permutation, rothe_diagram
@@ -66,6 +70,41 @@ def gap_boxes(cells) -> tuple[GapBox, ...]:
             )
             boxes.append(GapBox((row, right), left, left + length, row - 1, length, found))
     return tuple(boxes)
+
+
+def vertical_ascension(cells) -> bool:
+    r"""The paper's vertical-ascension rule, read with rows growing upward.
+
+    The paper states it with the final-bubble indicator R, writing cells as
+    (column, row)::
+
+        \sum_{r=1}^{j-1} R_{(l,w_r)} = n \implies (l+t,w_p) = 0
+            t,p \in \mathbb{N}, 0 < t \leq (n+\sum_{i=1}^{z+1} m_i), p \geq j
+
+    Read here: for a row j and a column l, let n be the number of rows
+    below j whose final bubble is in column l.  Then rows j and above hold
+    no bubble in columns l+1..end, where ``end`` starts at l+n and grows by
+    the finals below j that fall in (l, end], until it stops growing.  An
+    empty row's final is the basement column 0.
+
+    Every ``end`` only grows as j rises, so it is enough to check each row's
+    own bubbles against the spans of the finals below it.  The finals are
+    kept sorted, as in ``rules._gaps``.
+    """
+    rows: dict[int, list[int]] = {}
+    for r, c in cells:
+        rows.setdefault(r, []).append(c)
+    finals: list[int] = []
+    for row in range(1, max(rows, default=0) + 1):
+        bubbles = rows.get(row, [])
+        for column in set(finals) if bubbles else ():
+            start, end = bisect_left(finals, column), column
+            while (grown := column + bisect_right(finals, end) - start) != end:
+                end = grown
+            if any(column < c <= end for c in bubbles):
+                return False
+        insort(finals, max(bubbles, default=0))
+    return True
 
 
 def horizontal_labels(cells) -> dict[Cell, int]:

@@ -120,6 +120,8 @@ class TestPermutation:
             Permutation((1, 3, 2, 5))
         with pytest.raises(ValueError):
             Permutation((2, 2, 1))
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation((2, True))
 
     def test_from_word_trims_fixed_tail(self):
         assert Permutation.from_word((2, 1, 3, 4, 5)).word == (2, 1)
@@ -271,6 +273,8 @@ class TestDiagramType:
             Diagram(frozenset({(0, 1)}))
         with pytest.raises(ValueError):
             Diagram(frozenset({(1, 0)}))
+        with pytest.raises(ValueError, match="not an integer pair"):
+            Diagram(frozenset({(True, 1)}))
 
     def test_json_round_trip(self):
         d = Diagram(RUNNING_CELLS)
@@ -288,6 +292,8 @@ class TestDiagramType:
                 Diagram.from_json_obj(obj)
         with pytest.raises(ValueError, match="list of integers"):
             LehmerCode.from_json_obj({"counts": [True, 2]})
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            LehmerCode((True,))
 
     def test_transpose_involution(self):
         d = Diagram(RUNNING_CELLS)

@@ -52,3 +52,66 @@ def test_package_import_graph_is_acyclic():
     except CycleError as exc:
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
     assert order.index("core") < order.index("rules") < order.index("cli")
+
+
+PACKAGE_SURFACE = [
+    "Cell",
+    "Diagram",
+    "DotSet",
+    "EquivalenceReport",
+    "FreeColumns",
+    "GapBox",
+    "Labeling",
+    "LehmerCode",
+    "NumberingRequiredError",
+    "ParseError",
+    "Permutation",
+    "Placement",
+    "RULES",
+    "RuleReport",
+    "SweepReport",
+    "build_from_row_counts",
+    "build_stepout_avoiding",
+    "check_dot_rule",
+    "check_empty_cell_gap",
+    "check_free_numbering",
+    "check_horizontal_popping",
+    "check_numbering",
+    "check_rothe",
+    "check_southwest",
+    "check_vertical_popping",
+    "classify",
+    "column_dots",
+    "condition_verdicts",
+    "enumerate_grid_diagrams",
+    "enumerate_permutations",
+    "final_bubbles",
+    "find_free_step_outs",
+    "find_step_outs",
+    "gap_boxes",
+    "horizontal_numbering",
+    "lehmer_code",
+    "parse_permutation",
+    "permutation_from_lehmer",
+    "place_free_columns",
+    "recover_permutation",
+    "rothe_diagram",
+    "rothe_via_death_rays",
+    "row_counts",
+    "row_dots",
+    "verify_characterizations",
+    "verify_lehmer_bijection",
+    "verify_rothe_properties",
+    "vertical_numbering",
+]
+
+
+def test_package_surface_is_the_union_of_the_modules():
+    """``rothe.__all__`` is pinned, each name is the module's own object, and no
+    two modules declare one name, which a star import would settle silently."""
+    assert rothe.__all__ == PACKAGE_SURFACE
+    modules = (rothe.core, rothe.rules, rothe.reconstruct, rothe.oracle)
+    homes = {name: module for module in modules for name in module.__all__}
+    assert len(homes) == sum(len(module.__all__) for module in modules)
+    for name, module in homes.items():
+        assert getattr(rothe, name) is getattr(module, name), name

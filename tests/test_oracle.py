@@ -213,7 +213,7 @@ class TestJobsClamp:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(oracle.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         split = verify_characterizations(*grid, jobs=jobs)
         assert started == workers

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+import reference
 from rothe import (
     Diagram,
     DotSet,
@@ -23,10 +24,12 @@ from rothe import (
     column_dots,
     condition_verdicts,
     enumerate_grid_diagrams,
+    enumerate_permutations,
     final_bubbles,
     find_step_outs,
     gap_boxes,
     horizontal_numbering,
+    oracle,
     recover_permutation,
     rothe_diagram,
     row_dots,
@@ -294,6 +297,41 @@ class TestEmptyCellGap:
     def test_rothe_diagrams_pass(self):
         for w in all_canonical(5):
             assert check_empty_cell_gap(rothe_diagram(w)).holds
+
+
+class TestVerticalAscension:
+    """The paper's vertical-ascension rule, as ``reference.vertical_ascension`` reads it."""
+
+    @staticmethod
+    def _masks(rows, cols):
+        """Each mask of the grid with its cell set, which becomes a ``Diagram`` only if needed."""
+        positions = oracle._grid_positions(rows, cols)
+        for mask in range(1 << rows * cols):
+            yield mask, frozenset(cell for bit, cell in enumerate(positions) if mask >> bit & 1)
+
+    def test_holds_on_rothe_diagrams_of_s1_to_s7(self):
+        for n in range(1, 8):
+            for w in enumerate_permutations(n):
+                assert reference.vertical_ascension(rothe_diagram(w).cells), str(w)
+
+    @pytest.mark.parametrize("rows, cols", [(3, 4), (4, 4), (3, 5), (5, 3)])
+    def test_with_gap_rule_exactly_the_rothe_masks(self, rows, cols):
+        accepted, rothe = set(), set()
+        for mask, cells in self._masks(rows, cols):
+            if reference.vertical_ascension(cells) and check_empty_cell_gap(Diagram(cells)).holds:
+                accepted.add(mask)
+            if oracle._mask_verdicts(rows, cols, mask)["rothe"]:
+                rothe.add(mask)
+        assert accepted == rothe
+
+    def test_alone_accepts_206_other_masks_of_3x3(self):
+        accepted = [
+            mask
+            for mask, cells in self._masks(3, 3)
+            if reference.vertical_ascension(cells)
+            and not oracle._mask_verdicts(3, 3, mask)["rothe"]
+        ]
+        assert len(accepted) == 206
 
 
 class TestClassify:
