@@ -87,8 +87,8 @@ class ParseError(ValueError):
 
 
 def _is_int(value: object) -> bool:
-    """An integer that is not a bool, so JSON ``true`` is never read as 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Exactly an ``int``: not a bool, so JSON ``true`` is never read as 1."""
+    return type(value) is int
 
 
 def _json_value(value: object) -> object:
@@ -139,7 +139,9 @@ class Permutation:
     def from_word(cls, values: Iterable[int]) -> "Permutation":
         """Build a permutation from one-line notation, trimming the fixed tail."""
         word = tuple(values)
-        end = next((i for i in range(len(word), 0, -1) if word[i - 1] != i), 0)
+        end = len(word)
+        while end and word[end - 1] == end and type(word[end - 1]) is int:
+            end -= 1
         return cls(word[:end])
 
     @property
@@ -192,7 +194,7 @@ class Diagram:
 
     @classmethod
     def from_cells(cls, cells: Iterable[Sequence[int]]) -> "Diagram":
-        return cls(frozenset((int(r), int(c)) for r, c in cells))
+        return cls(frozenset(map(tuple, cells)))
 
     def __reduce__(self):
         return (Diagram, (self.cells,))  # pickles and copies drop the cached facts
@@ -281,18 +283,13 @@ class Diagram:
         raw = obj["cells"]
         if not isinstance(raw, list):
             raise ValueError('"cells" must be a list of [row, col] pairs')
-        cells = []
         for entry in raw:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(_is_int(v) for v in entry)
-            ):
+            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_int, entry)):
                 raise ValueError(f"cell entry {entry!r} is not a [row, col] pair")
-            cells.append((entry[0], entry[1]))
-        if len(set(cells)) != len(cells):
+        cells = frozenset(map(tuple, raw))
+        if len(cells) != len(raw):
             raise ValueError("duplicate cells in diagram JSON")
-        return cls.from_cells(cells)
+        return cls(cells)
 
 
 @dataclass(frozen=True)
@@ -316,7 +313,9 @@ class LehmerCode(_FieldsJson):
     @classmethod
     def from_counts(cls, values: Iterable[int]) -> "LehmerCode":
         counts = tuple(values)
-        end = next((i for i in range(len(counts), 0, -1) if counts[i - 1]), 0)
+        end = len(counts)
+        while end and counts[end - 1] == 0 and type(counts[end - 1]) is int:
+            end -= 1
         return cls(counts[:end])
 
     @classmethod
@@ -333,12 +332,7 @@ CodeLike = Union[LehmerCode, Sequence[int]]
 
 
 def _as_counts(code: CodeLike) -> tuple[int, ...]:
-    if isinstance(code, LehmerCode):
-        return code.counts
-    counts = tuple(int(a) for a in code)
-    if any(a < 0 for a in counts):
-        raise ValueError(f"counts {counts} must be nonnegative")
-    return counts
+    return code.counts if isinstance(code, LehmerCode) else LehmerCode.from_counts(code).counts
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -48,7 +48,7 @@ class FreeColumns:
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> FreeColumns:
-        return cls(tuple(frozenset(col) for col in sets))
+        return cls(sets)
 
     def __len__(self) -> int:
         return len(self.columns)

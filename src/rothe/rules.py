@@ -16,9 +16,11 @@ and the numbering rule and the step-out scan's precondition read the same
 cached numbering mismatch.  Beyond those facts, ``southwest``,
 ``numbering`` and ``empty_cell_gap`` cost O(cells log cells) plus their
 witnesses, ``dot`` O(pieces) plus its witnesses, the popping rules
-O(cells log cells + pieces), and ``is_rothe`` O(pieces log pieces + cells)
-plus its witnesses; none depends on how large a coordinate is.  A failing
-far-out diagram can still have O(largest coordinate) dot witnesses.
+O(cells log cells + pieces), ``is_rothe`` O(pieces log pieces + cells)
+plus its witnesses, and ``step_out`` pairs every bubble labelled n with
+every bubble labelled n + 1, about O(cells^1.5) on the longest element
+w0; none depends on how large a coordinate is.  A failing far-out
+diagram can still have O(largest coordinate) dot witnesses.
 Horizontal popping is vertical popping of the transpose, mirrored back.
 """
 

@@ -1,0 +1,156 @@
+"""Mutation checks: break the package on purpose and see that the tests notice.
+
+Each mutant names a file, an exact text that occurs once in it, the text
+that replaces it, the tests to run and the outcome expected.  The script
+copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary directory,
+first runs every named test there unchanged, then applies one mutant at a
+time to a fresh copy and runs its tests.  A mutant is *killed* when its
+tests fail, *survived* when they pass, and *stale* when its old text no
+longer occurs exactly once, so that it checks nothing.
+
+The exit code is 0 when every mutant has its expected outcome, 1 when one
+does not (a stale mutant never does), and 2 when the tests fail on the
+unchanged copy.  Pytest does not collect this file.  Run from the
+repository root:
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py 2 5      # mutants 2 and 5 only
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 240
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    expect: str = "killed"
+
+
+CORE = "src/rothe/core.py"
+CORE_TYPES = ("tests/test_core.py::TestDiagramType", "tests/test_core.py::TestPermutation")
+CODE_TESTS = (
+    "tests/test_core.py::TestLehmerCode",
+    "tests/test_reconstruct.py::TestBuildFromRowCounts",
+)
+
+MUTANTS = (
+    Mutant(
+        "from_cells truncates with int()",
+        CORE,
+        "return cls(frozenset(map(tuple, cells)))",
+        "return cls(frozenset((int(r), int(c)) for r, c in cells))",
+        CORE_TYPES,
+    ),
+    Mutant(
+        "from_word trims letters that are not exact ints",
+        CORE,
+        "while end and word[end - 1] == end and type(word[end - 1]) is int:",
+        "while end and word[end - 1] == end:",
+        CORE_TYPES,
+    ),
+    Mutant(
+        "from_counts trims counts that are not exact ints",
+        CORE,
+        "while end and counts[end - 1] == 0 and type(counts[end - 1]) is int:",
+        "while end and counts[end - 1] == 0:",
+        CODE_TESTS,
+    ),
+    Mutant(
+        "Diagram.from_json_obj lets duplicate cells through",
+        CORE,
+        '''        if len(cells) != len(raw):
+            raise ValueError("duplicate cells in diagram JSON")
+''',
+        "",
+        ("tests/test_core.py::TestDiagramType", "tests/test_cli.py::TestCheckCommand"),
+    ),
+    Mutant(
+        "_is_int takes int subclasses again",
+        CORE,
+        "    return type(value) is int\n",
+        "    return isinstance(value, int) and not isinstance(value, bool)\n",
+        ("tests/test_reconstruct.py::TestReconstructTypes",),
+    ),
+    Mutant(
+        "Diagram takes a non-int row",
+        CORE,
+        "                and type(cell[0]) is int\n",
+        "",
+        CORE_TYPES,
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def tests_pass(tree: Path, tests: tuple[str, ...]) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        result = subprocess.run(
+            command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    return result.returncode == 0
+
+
+def outcome(mutant: Mutant) -> str:
+    with tempfile.TemporaryDirectory(prefix="rothe-mutant-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        target = tree / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return "stale"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        return "survived" if tests_pass(tree, mutant.tests) else "killed"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [MUTANTS[int(arg) - 1] for arg in argv] if argv else list(MUTANTS)
+    with tempfile.TemporaryDirectory(prefix="rothe-mutant-") as tmp:
+        copy_tree(Path(tmp))
+        every_test = tuple(dict.fromkeys(test for m in chosen for test in m.tests))
+        if not tests_pass(Path(tmp), every_test):
+            print("the tests fail on the unchanged tree; no mutant was run", file=sys.stderr)
+            return 2
+    wrong = 0
+    for mutant in chosen:
+        start = time.perf_counter()
+        got = outcome(mutant)
+        mark = "ok" if got == mutant.expect else f"EXPECTED {mutant.expect.upper()}"
+        wrong += got != mutant.expect
+        number = MUTANTS.index(mutant) + 1
+        seconds = time.perf_counter() - start
+        print(f"{number}. {mutant.name}: {got} ({seconds:.1f} s) {mark}")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

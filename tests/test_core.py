@@ -6,7 +6,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rothe import (
     Diagram,
@@ -32,6 +32,11 @@ from goldens import (
     RUNNING_TEXT,
     RUNNING_WORD,
 )
+from test_cli import json_documents, row_lists
+
+
+class Row(int):
+    """An ``int`` subclass: the constructors take exactly ``int``, never a subclass."""
 
 
 def inversion_cells(word):
@@ -122,6 +127,10 @@ class TestPermutation:
             Permutation((2, 2, 1))
         with pytest.raises(ValueError, match="not a permutation"):
             Permutation((2, True))
+        # The fixed tail is trimmed only where its letters are exact ints.
+        for word in ([True], [2, 1, 3.0]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                Permutation.from_word(word)
 
     def test_from_word_trims_fixed_tail(self):
         assert Permutation.from_word((2, 1, 3, 4, 5)).word == (2, 1)
@@ -197,6 +206,9 @@ class TestLehmerCode:
             LehmerCode((1, 0))
         with pytest.raises(ValueError):
             LehmerCode((-1,))
+        for counts in ([1, False], [1, 0.0]):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                LehmerCode.from_counts(counts)
 
     def test_equals_row_counts_of_diagram(self):
         for w in all_canonical(5):
@@ -275,6 +287,12 @@ class TestDiagramType:
             Diagram(frozenset({(1, 0)}))
         with pytest.raises(ValueError, match="not an integer pair"):
             Diagram(frozenset({(True, 1)}))
+        with pytest.raises(ValueError, match="not an integer pair"):
+            Diagram(frozenset({(Row(1), 1)}))
+        # from_cells neither truncates floats nor reads bools as integers.
+        with pytest.raises(ValueError, match="not an integer pair"):
+            Diagram.from_cells([(1.9, 2), (True, 1)])
+        assert Diagram.from_cells([[1, 2], [3, 1]]).cells == {(1, 2), (3, 1)}
 
     def test_json_round_trip(self):
         d = Diagram(RUNNING_CELLS)
@@ -294,6 +312,20 @@ class TestDiagramType:
             LehmerCode.from_json_obj({"counts": [True, 2]})
         with pytest.raises(ValueError, match="nonnegative integers"):
             LehmerCode((True,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        json_documents
+        | st.fixed_dictionaries({"cells": row_lists | json_documents})
+        | st.fixed_dictionaries({"counts": st.lists(json_documents, max_size=4) | json_documents})
+    )
+    def test_json_loaders_raise_only_value_error(self, document):
+        """Any JSON document loads or raises ValueError, never TypeError from hashing."""
+        for load in (Diagram.from_json_obj, LehmerCode.from_json_obj):
+            try:
+                load(document)
+            except ValueError:
+                pass
 
     def test_transpose_involution(self):
         d = Diagram(RUNNING_CELLS)

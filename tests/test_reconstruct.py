@@ -37,6 +37,7 @@ from goldens import (
     RUNNING_CELLS,
     RUNNING_CODE,
 )
+from test_core import Row
 from test_dot_pieces import best_ms
 
 
@@ -52,6 +53,11 @@ class TestBuildFromRowCounts:
 
     def test_accepts_plain_sequences(self):
         assert build_from_row_counts([1, 1]).cells == CELLS_231
+        # A plain sequence is read as LehmerCode reads it: no float or bool counts.
+        for build in (build_from_row_counts, build_stepout_avoiding, permutation_from_lehmer):
+            for counts in ([True, 2.5], [1.7, True], [1, False]):
+                with pytest.raises(ValueError, match="nonnegative integers"):
+                    build(counts)
 
     def test_matches_rothe_diagram_over_s6(self):
         for word in itertools.permutations(range(1, 7)):
@@ -228,6 +234,8 @@ class TestReconstructTypes:
             FreeColumns.from_sets([set()])
         with pytest.raises(ValueError):
             FreeColumns.from_sets([{0, 1}])
+        with pytest.raises(ValueError, match="invalid row"):
+            FreeColumns.from_sets([{Row(1)}])
 
     def test_free_columns_json_round_trip(self):
         c = FreeColumns.from_sets(FREE_COLUMNS)
@@ -244,4 +252,6 @@ class TestReconstructTypes:
             Placement((3, 2))
         with pytest.raises(ValueError):
             Placement((0, 1))
+        with pytest.raises(ValueError, match="positive integers"):
+            Placement((Row(1),))
         assert Placement((1, 3, 4, 6)).to_json_obj() == {"positions": [1, 3, 4, 6]}
