@@ -18,6 +18,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 
+import pytest
+
 from rothe import (
     Diagram,
     Permutation,
@@ -44,6 +46,8 @@ LARGE_SIZES = (21, 37, 47)
 # inversions a scan over all position pairs pays for quadratically.
 KERNEL_PREFIXES = (100, 550, 1000)
 
+SUBCOMMANDS = ("diagram", "lehmer", "unlehmer", "check", "build", "place", "verify", "render")
+
 DIGESTS = {
     "classify_3x3": "933c4b4b25978d638ce33b3cba6d5f426c01295dd8bea9a133286d8691178139",
     "classify_s6": "d090e1aa0b598203de66bbebd313e03834c2159fffe7fdc87417b0f5a585dcc1",
@@ -55,6 +59,7 @@ DIGESTS = {
     "diagram_lehmer_s7": "acd31b9420302e0683d3fec2d1805b497a4a0eb97991e0498f948788e32c5ef7",
     "diagram_lehmer_far_out": "b8b7cd134f589f8d12191ef1e73c9ba81d670bb73a8a41cdb3a3b1e749a9f81f",
     "build_rows": "d30f30722346342cc5be0ec2f78e9efa18bf5c3aa2ad2ad0c2758ca3002e7fc2",
+    "cli_usage": "671f0c2616989ad3fc1fb650dc0a77f1688532cf2151df57171a24bb5ea3972d",
 }
 
 
@@ -254,3 +259,21 @@ def test_build_rows_seeded():
         counts = [rng.randint(0, length) for _ in range(length)]
         lines.append(_exit_and_stdout(["build", "--rows", ",".join(map(str, counts))]))
     assert _digest(lines) == DIGESTS["build_rows"]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse words its help and errors differently across Python versions; pinned on 3.11",
+)
+def test_cli_usage(monkeypatch):
+    """Help, usage lines and argument errors, as argparse prints them 80 columns wide."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [[], ["-h"], ["--help"], ["bogus"], ["-x"], ["--", "check"]]
+    for command in SUBCOMMANDS:
+        argvs += [[command, "-h"], [command, "x", "y", "--zzz"]]
+        # Bare `verify` runs the default sweep, which verify_default pins.
+        if command != "verify":
+            argvs.append([command])
+    argvs += [["verify", "--n", "x"], ["verify", "--jobs", "1_0"], ["build", "--ro", "1"]]
+    lines = [_cli_line(argv) for argv in argvs]
+    assert _digest(lines) == DIGESTS["cli_usage"]
