@@ -44,6 +44,7 @@ DEFAULT_SIZE = 6
 DEFAULT_GRID = "3x3"
 MAX_CASUAL_SIZE = 6
 MAX_CASUAL_GRID_CELLS = 9
+_COMMANDS = ("diagram", "lehmer", "unlehmer", "check", "build", "place", "verify", "render")
 
 
 @dataclass(frozen=True)
@@ -258,61 +259,75 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# main builds only the subparser argv[0] names: all eight take 0.78 ms to build, one 0.15 ms.
+# A parser cached across calls raised peak RSS by up to 16.5%, as full collections stopped
+# (CHANGES.md, FOUND 23).  The metavar keeps a narrowed parser's usage line the same.
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rothe",
         description="Construct, validate, and reconstruct Rothe diagrams of permutations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("diagram", help="print the diagram of a permutation as JSON")
-    p.add_argument("permutation", nargs="+", help="one-line word, or - for stdin")
-    p.add_argument("--ascii", action="store_true", help="append an ASCII rendering")
-    p.set_defaults(handler=_cmd_diagram)
+    if command in (None, "diagram"):
+        p = sub.add_parser("diagram", help="print the diagram of a permutation as JSON")
+        p.add_argument("permutation", nargs="+", help="one-line word, or - for stdin")
+        p.add_argument("--ascii", action="store_true", help="append an ASCII rendering")
+        p.set_defaults(handler=_cmd_diagram)
 
-    p = sub.add_parser("lehmer", help="print the row counts of a permutation")
-    p.add_argument("permutation", nargs="+", help="one-line word, or - for stdin")
-    p.set_defaults(handler=_cmd_lehmer)
+    if command in (None, "lehmer"):
+        p = sub.add_parser("lehmer", help="print the row counts of a permutation")
+        p.add_argument("permutation", nargs="+", help="one-line word, or - for stdin")
+        p.set_defaults(handler=_cmd_lehmer)
 
-    p = sub.add_parser("unlehmer", help="rebuild the permutation behind row counts")
-    p.add_argument("counts", help="comma or space separated counts, may be empty")
-    p.set_defaults(handler=_cmd_unlehmer)
+    if command in (None, "unlehmer"):
+        p = sub.add_parser("unlehmer", help="rebuild the permutation behind row counts")
+        p.add_argument("counts", help="comma or space separated counts, may be empty")
+        p.set_defaults(handler=_cmd_unlehmer)
 
-    p = sub.add_parser("check", help="run rule checkers over a diagram")
-    p.add_argument("diagram", help="path to diagram JSON, or - for stdin")
-    p.add_argument("--rules", help="comma separated subset of rules to run")
-    p.set_defaults(handler=_cmd_check)
+    if command in (None, "check"):
+        p = sub.add_parser("check", help="run rule checkers over a diagram")
+        p.add_argument("diagram", help="path to diagram JSON, or - for stdin")
+        p.add_argument("--rules", help="comma separated subset of rules to run")
+        p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("build", help="build the diagram with given row counts")
-    p.add_argument("--rows", required=True, help="comma or space separated counts")
-    p.set_defaults(handler=_cmd_build)
+    if command in (None, "build"):
+        p = sub.add_parser("build", help="build the diagram with given row counts")
+        p.add_argument("--rows", required=True, help="comma or space separated counts")
+        p.set_defaults(handler=_cmd_build)
 
-    p = sub.add_parser("place", help="place a free column collection")
-    p.add_argument("columns", help="path to columns JSON, or - for stdin")
-    p.set_defaults(handler=_cmd_place)
+    if command in (None, "place"):
+        p = sub.add_parser("place", help="place a free column collection")
+        p.add_argument("columns", help="path to columns JSON, or - for stdin")
+        p.set_defaults(handler=_cmd_place)
 
-    p = sub.add_parser("verify", help="brute-force the equivalences at small bounds")
-    p.add_argument("--n", type=_ascii_int, default=DEFAULT_SIZE, help="permutation size to sweep")
-    p.add_argument("--grid", default=DEFAULT_GRID, help="diagram grid bounds, like 3x3")
-    p.add_argument("--jobs", type=_ascii_int, help="worker processes (default $ROTHE_JOBS or 1)")
-    p.add_argument("--large", action="store_true", help="allow slow bounds")
-    p.set_defaults(handler=_cmd_verify)
+    if command in (None, "verify"):
+        p = sub.add_parser("verify", help="brute-force the equivalences at small bounds")
+        p.add_argument("--n", type=_ascii_int, default=DEFAULT_SIZE, help="permutation size to sweep")
+        p.add_argument("--grid", default=DEFAULT_GRID, help="diagram grid bounds, like 3x3")
+        p.add_argument("--jobs", type=_ascii_int, help="worker processes (default $ROTHE_JOBS or 1)")
+        p.add_argument("--large", action="store_true", help="allow slow bounds")
+        p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("render", help="draw a diagram as ASCII art")
-    p.add_argument("diagram", help="path to diagram JSON, or - for stdin")
-    p.add_argument("--dots", action="store_true", help="overlay the row dots")
-    p.add_argument("--basement", action="store_true", help="show the basement column")
-    p.add_argument("--labels", action="store_true", help="write numbering labels on bubbles")
-    p.add_argument("--flip", action="store_true", help="print row 1 first")
-    p.add_argument("--glyphs", help="four characters: bubble, empty, dot, basement")
-    p.set_defaults(handler=_cmd_render)
+    if command in (None, "render"):
+        p = sub.add_parser("render", help="draw a diagram as ASCII art")
+        p.add_argument("diagram", help="path to diagram JSON, or - for stdin")
+        p.add_argument("--dots", action="store_true", help="overlay the row dots")
+        p.add_argument("--basement", action="store_true", help="show the basement column")
+        p.add_argument("--labels", action="store_true", help="write numbering labels on bubbles")
+        p.add_argument("--flip", action="store_true", help="print row 1 first")
+        p.add_argument("--glyphs", help="four characters: bubble, empty, dot, basement")
+        p.set_defaults(handler=_cmd_render)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
