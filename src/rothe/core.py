@@ -91,6 +91,13 @@ def _is_int(value: object) -> bool:
     return type(value) is int
 
 
+def _shown(values: tuple) -> str:
+    """``values`` for an error text: whole up to 20 items, else the first 20 and the length."""
+    if len(values) <= 20:
+        return str(values)
+    return f"{str(values[:20])[:-1]}, ...) of length {len(values)}"
+
+
 def _json_value(value: object) -> object:
     """JSON form of a value: dataclasses as field dicts, tuples as lists."""
     if isinstance(value, (tuple, list)):
@@ -131,9 +138,9 @@ class Permutation:
         object.__setattr__(self, "word", word)
         n = len(word)
         if not all(type(v) is int for v in word) or sorted(word) != list(range(1, n + 1)):
-            raise ValueError(f"word {word} is not a permutation of 1..{n}")
+            raise ValueError(f"word {_shown(word)} is not a permutation of 1..{n}")
         if word and word[-1] == n:
-            raise ValueError(f"word {word} is not canonical: last position is fixed")
+            raise ValueError(f"word {_shown(word)} is not canonical: last position is fixed")
 
     @classmethod
     def from_word(cls, values: Iterable[int]) -> "Permutation":
@@ -280,6 +287,8 @@ class Diagram:
     def from_json_obj(cls, obj: object) -> "Diagram":
         if not isinstance(obj, dict) or "cells" not in obj:
             raise ValueError('diagram JSON must be an object with a "cells" key')
+        if unknown := [key for key in obj if key != "cells"]:
+            raise ValueError(f"diagram JSON has an unknown key: {unknown[0]!r}")
         raw = obj["cells"]
         if not isinstance(raw, list):
             raise ValueError('"cells" must be a list of [row, col] pairs')
@@ -306,9 +315,9 @@ class LehmerCode(_FieldsJson):
         counts = tuple(self.counts)
         object.__setattr__(self, "counts", counts)
         if any(type(a) is not int or a < 0 for a in counts):
-            raise ValueError(f"counts {counts} must be nonnegative integers")
+            raise ValueError(f"counts {_shown(counts)} must be nonnegative integers")
         if counts and counts[-1] == 0:
-            raise ValueError(f"counts {counts} are not canonical: trailing zero")
+            raise ValueError(f"counts {_shown(counts)} are not canonical: trailing zero")
 
     @classmethod
     def from_counts(cls, values: Iterable[int]) -> "LehmerCode":
@@ -322,6 +331,8 @@ class LehmerCode(_FieldsJson):
     def from_json_obj(cls, obj: object) -> "LehmerCode":
         if not isinstance(obj, dict) or "counts" not in obj:
             raise ValueError('code JSON must be an object with a "counts" key')
+        if unknown := [key for key in obj if key != "counts"]:
+            raise ValueError(f"code JSON has an unknown key: {unknown[0]!r}")
         raw = obj["counts"]
         if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
             raise ValueError('"counts" must be a list of integers')
@@ -352,33 +363,24 @@ def parse_permutation(text: str) -> Permutation:
     if not tokens:
         raise ParseError("empty input: expected at least one value")
     if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isascii() and tokens[0].isdigit():
-        values = []
-        for pos, ch in enumerate(tokens[0], 1):
-            if ch == "0":
-                raise ParseError(f"value 0 at position {pos} is out of range")
-            values.append(int(ch))
-    else:
-        values = []
-        for pos, tok in enumerate(tokens, 1):
-            if not (tok.isascii() and tok.isdigit()):
-                raise ParseError(f"non-numeric token {tok!r} at position {pos}")
-            value = int(tok)
-            if value < 1:
-                raise ParseError(f"value {value} at position {pos} is out of range")
-            values.append(value)
+        tokens = list(tokens[0])
+    values = []
+    for pos, tok in enumerate(tokens, 1):
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"non-numeric token {tok!r} at position {pos}")
+        value = int(tok)
+        if value < 1:
+            raise ParseError(f"value {value} at position {pos} is out of range")
+        values.append(value)
     first_seen: dict[int, int] = {}
     for pos, value in enumerate(values, 1):
         if value in first_seen:
-            raise ParseError(
-                f"duplicate value {value} at positions {first_seen[value]} and {pos}"
-            )
+            raise ParseError(f"duplicate value {value} at positions {first_seen[value]} and {pos}")
         first_seen[value] = pos
     n = len(values)
     for pos, value in enumerate(values, 1):
         if value > n:
-            raise ParseError(
-                f"value {value} at position {pos} is out of range 1..{n}"
-            )
+            raise ParseError(f"value {value} at position {pos} is out of range 1..{n}")
     return Permutation.from_word(values)
 
 

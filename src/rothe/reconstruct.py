@@ -65,12 +65,15 @@ class FreeColumns:
             isinstance(col, list) for col in columns
         ):
             raise ValueError('"columns" must be a list of row lists')
+        # Each column is hashed once; the constructor's frozenset() returns it as is.
+        sets = []
         for index, col in enumerate(columns, 1):
             if invalid := [row for row in col if not _is_int(row)]:
                 raise ValueError(f"column {index} has invalid row {invalid[0]!r}")
-            if len(set(col)) != len(col):
+            sets.append(frozenset(col))
+            if len(sets[-1]) != len(col):
                 raise ValueError(f"column {index} repeats a row")
-        return cls.from_sets(columns)
+        return cls(sets)
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,7 @@ def build_stepout_avoiding(counts: CodeLike) -> Diagram:
                     col = c
                     break
             if col is None:
-                raise RuntimeError(
-                    f"no column yields label {target} for bubble {k} of row {row}"
-                )
+                raise RuntimeError(f"no column yields label {target} for bubble {k} of row {row}")
             cells.add((row, col))
             height[col] = height.get(col, 0) + 1
             prev = col
@@ -194,9 +195,7 @@ def find_free_step_outs(collection: FreeColumns) -> RuleReport:
     """
     labels = _free_labels(collection)
     if not _free_numbering(collection, labels).holds:
-        raise NumberingRequiredError(
-            "free step-out scan requires the free numbering condition"
-        )
+        raise NumberingRequiredError("free step-out scan requires the free numbering condition")
     return RuleReport("free_step_out", _step_outs(labels))
 
 
@@ -214,9 +213,7 @@ def place_free_columns(collection: FreeColumns) -> tuple[Placement, Diagram] | N
     labels = _free_labels(collection)
     if not _free_numbering(collection, labels).holds or _step_outs(labels):
         return None
-    positions = tuple(
-        labels[(min(col), index)] for index, col in enumerate(collection.columns, 1)
-    )
+    positions = tuple(labels[(min(col), index)] for index, col in enumerate(collection.columns, 1))
     cells = frozenset(
         (row, pos) for pos, col in zip(positions, collection.columns) for row in col
     )

@@ -44,6 +44,9 @@ class Mutant:
 
 
 CORE = "src/rothe/core.py"
+CLI = "src/rothe/cli.py"
+RECONSTRUCT = "src/rothe/reconstruct.py"
+CLI_USAGE = ("tests/test_byte_identity.py::test_cli_usage",)
 CORE_TYPES = ("tests/test_core.py::TestDiagramType", "tests/test_core.py::TestPermutation")
 CODE_TESTS = (
     "tests/test_core.py::TestLehmerCode",
@@ -94,6 +97,47 @@ MUTANTS = (
         "                and type(cell[0]) is int\n",
         "",
         CORE_TYPES,
+    ),
+    Mutant(
+        "the narrowed parser lists only its own subcommand in the usage line",
+        CLI,
+        'metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"',
+        "metavar = None",
+        CLI_USAGE,
+    ),
+    Mutant(
+        "main narrows the parser to any argv[0]",
+        CLI,
+        "command = argv[0] if argv and argv[0] in _COMMANDS else None",
+        "command = argv[0] if argv else None",
+        CLI_USAGE,
+    ),
+    Mutant(
+        "Diagram.from_json_obj ignores unknown keys",
+        CORE,
+        '''        if unknown := [key for key in obj if key != "cells"]:
+            raise ValueError(f"diagram JSON has an unknown key: {unknown[0]!r}")
+''',
+        "",
+        ("tests/test_core.py::TestDiagramType", "tests/test_cli.py::TestCheckCommand"),
+    ),
+    Mutant(
+        "LehmerCode.from_json_obj ignores unknown keys",
+        CORE,
+        '''        if unknown := [key for key in obj if key != "counts"]:
+            raise ValueError(f"code JSON has an unknown key: {unknown[0]!r}")
+''',
+        "",
+        ("tests/test_core.py::TestDiagramType",),
+    ),
+    Mutant(
+        "FreeColumns.from_json_obj lets a repeated row through",
+        RECONSTRUCT,
+        '''            if len(sets[-1]) != len(col):
+                raise ValueError(f"column {index} repeats a row")
+''',
+        "",
+        ("tests/test_reconstruct.py::TestReconstructTypes", "tests/test_cli.py::TestPlaceCommand"),
     ),
 )
 

@@ -34,6 +34,9 @@ from goldens import (
 )
 from test_cli import json_documents, row_lists
 
+# Misspelt keys next to a loader's own: each one must be refused.
+extra_keys = {"cels": json_documents, "count": json_documents, "": json_documents}
+
 
 class Row(int):
     """An ``int`` subclass: the constructors take exactly ``int``, never a subclass."""
@@ -127,6 +130,17 @@ class TestPermutation:
             Permutation((2, 2, 1))
         with pytest.raises(ValueError, match="not a permutation"):
             Permutation((2, True))
+        # Messages show a word of up to 20 letters whole, and a longer one cut short.
+        word = (2, 1, *range(3, 21))
+        with pytest.raises(ValueError) as error:
+            Permutation(word)
+        assert str(error.value) == f"word {word} is not canonical: last position is fixed"
+        with pytest.raises(ValueError) as error:
+            Permutation((1,) * 100_000)
+        assert str(error.value) == (
+            "word (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, ...) "
+            "of length 100000 is not a permutation of 1..100000"
+        )
         # The fixed tail is trimmed only where its letters are exact ints.
         for word in ([True], [2, 1, 3.0]):
             with pytest.raises(ValueError, match="not a permutation"):
@@ -209,6 +223,9 @@ class TestLehmerCode:
         for counts in ([1, False], [1, 0.0]):
             with pytest.raises(ValueError, match="nonnegative integers"):
                 LehmerCode.from_counts(counts)
+        with pytest.raises(ValueError, match="nonnegative integers") as error:
+            permutation_from_lehmer([1] * 200_000 + [-1])
+        assert len(str(error.value)) < 120
 
     def test_equals_row_counts_of_diagram(self):
         for w in all_canonical(5):
@@ -303,6 +320,12 @@ class TestDiagramType:
         for obj in ({}, {"cells": [[1]]}, {"cells": [[1, 2], [1, 2]]}, {"cells": "no"}):
             with pytest.raises(ValueError):
                 Diagram.from_json_obj(obj)
+        with pytest.raises(ValueError, match='must be an object with a "cells" key'):
+            Diagram.from_json_obj({"cels": [[1, 1]]})
+        with pytest.raises(ValueError, match="diagram JSON has an unknown key: 'cels'"):
+            Diagram.from_json_obj({"cells": [[1, 1]], "cels": [[5, 9]]})
+        with pytest.raises(ValueError, match="code JSON has an unknown key: 'count'"):
+            LehmerCode.from_json_obj({"count": [], "counts": [1]})
 
     def test_json_rejects_booleans(self):
         for obj in ({"cells": [[True, True]]}, {"cells": [[1, False]]}):
@@ -316,16 +339,22 @@ class TestDiagramType:
     @settings(max_examples=300, deadline=None)
     @given(
         json_documents
-        | st.fixed_dictionaries({"cells": row_lists | json_documents})
-        | st.fixed_dictionaries({"counts": st.lists(json_documents, max_size=4) | json_documents})
+        | st.fixed_dictionaries({"cells": row_lists | json_documents}, optional=extra_keys)
+        | st.fixed_dictionaries(
+            {"counts": st.lists(json_documents, max_size=4) | json_documents}, optional=extra_keys
+        )
     )
     def test_json_loaders_raise_only_value_error(self, document):
-        """Any JSON document loads or raises ValueError, never TypeError from hashing."""
-        for load in (Diagram.from_json_obj, LehmerCode.from_json_obj):
+        """Any JSON document loads or raises ValueError, never TypeError from hashing.
+
+        A document loads only if its one key is the loader's own.
+        """
+        for load, key in ((Diagram.from_json_obj, "cells"), (LehmerCode.from_json_obj, "counts")):
             try:
                 load(document)
             except ValueError:
-                pass
+                continue
+            assert list(document) == [key]
 
     def test_transpose_involution(self):
         d = Diagram(RUNNING_CELLS)
