@@ -375,12 +375,16 @@ def parse_permutation(text: str) -> Permutation:
     first_seen: dict[int, int] = {}
     for pos, value in enumerate(values, 1):
         if value in first_seen:
-            raise ParseError(f"duplicate value {value} at positions {first_seen[value]} and {pos}")
+            raise ParseError(
+                f"duplicate value {value} at positions {first_seen[value]} and {pos}"
+            )
         first_seen[value] = pos
     n = len(values)
     for pos, value in enumerate(values, 1):
         if value > n:
-            raise ParseError(f"value {value} at position {pos} is out of range 1..{n}")
+            raise ParseError(
+                f"value {value} at position {pos} is out of range 1..{n}"
+            )
     return Permutation.from_word(values)
 
 

@@ -142,7 +142,9 @@ def build_stepout_avoiding(counts: CodeLike) -> Diagram:
                     col = c
                     break
             if col is None:
-                raise RuntimeError(f"no column yields label {target} for bubble {k} of row {row}")
+                raise RuntimeError(
+                    f"no column yields label {target} for bubble {k} of row {row}"
+                )
             cells.add((row, col))
             height[col] = height.get(col, 0) + 1
             prev = col
@@ -195,7 +197,9 @@ def find_free_step_outs(collection: FreeColumns) -> RuleReport:
     """
     labels = _free_labels(collection)
     if not _free_numbering(collection, labels).holds:
-        raise NumberingRequiredError("free step-out scan requires the free numbering condition")
+        raise NumberingRequiredError(
+            "free step-out scan requires the free numbering condition"
+        )
     return RuleReport("free_step_out", _step_outs(labels))
 
 
@@ -213,7 +217,9 @@ def place_free_columns(collection: FreeColumns) -> tuple[Placement, Diagram] | N
     labels = _free_labels(collection)
     if not _free_numbering(collection, labels).holds or _step_outs(labels):
         return None
-    positions = tuple(labels[(min(col), index)] for index, col in enumerate(collection.columns, 1))
+    positions = tuple(
+        labels[(min(col), index)] for index, col in enumerate(collection.columns, 1)
+    )
     cells = frozenset(
         (row, pos) for pos, col in zip(positions, collection.columns) for row in col
     )

@@ -212,12 +212,6 @@ class TestCheckCommand:
         assert (code, out) == (2, "")
         assert err == "error: diagram JSON has an unknown key: 'cels'\n"
 
-    def test_diagram_output_pipes_into_check(self, capsys, monkeypatch):
-        _, out, _ = run_cli(["diagram", RUNNING_TEXT], capsys)
-        code, out, _ = run_cli(["check", "-"], capsys, stdin_text=out, monkeypatch=monkeypatch)
-        assert code == 0
-        assert all(report["holds"] for report in json.loads(out))
-
     def test_deeply_nested_json_exit_2(self, capsys, monkeypatch):
         depth = 100_000
         code, out, err = run_cli(
