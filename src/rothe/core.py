@@ -32,10 +32,11 @@ which ``is_rothe`` reads in O(pieces log pieces + cells) plus witnesses.
 
 A :class:`Diagram` computes the facts the rules share once, on first use,
 as cached members that live and die with the frozen object: sorted cells
-and row index, O(cells log cells); transpose, horizontal labels and the
-numbering mismatch, O(cells); the dot pieces and their inverse, O(cells
-log cells), whatever the coordinates.  Column facts are the row facts of
-the transpose.
+and row index, O(cells log cells); the transpose, from one walk of the row
+index that sorts only the column keys, O(cells + columns log columns);
+horizontal labels and the numbering mismatch, one pass up the rows,
+O(cells); the dot pieces and their inverse, O(cells log cells), whatever
+the coordinates.  Column facts are the row facts of the transpose.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class ParseError(ValueError):
     """Raised when permutation text cannot be parsed."""
 
 
-def _is_int(value: object) -> bool:
-    """Exactly an ``int``: not a bool, so JSON ``true`` is never read as 1."""
-    return type(value) is int
-
-
 def _shown(values: tuple) -> str:
     """``values`` for an error text: whole up to 20 items, else the first 20 and the length."""
     if len(values) <= 20:
@@ -101,7 +97,7 @@ def _shown(values: tuple) -> str:
 def _json_value(value: object) -> object:
     """JSON form of a value: dataclasses as field dicts, tuples as lists."""
     if isinstance(value, (tuple, list)):
-        return [_json_value(v) for v in value]
+        return [v if type(v) is int else _json_value(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_value(v) for k, v in value.items()}
     if is_dataclass(value):
@@ -226,7 +222,17 @@ class Diagram:
 
     @_cached_fact
     def _transposed(self) -> "Diagram":
-        return Diagram(frozenset((c, r) for r, c in self.cells))
+        """The mirror image: its cells are swaps of checked ones, and it holds no link back."""
+        columns: dict[int, list[int]] = {}  # rows ascend: only the keys are sorted
+        for r, cols in self.row_index.items():
+            for c in cols:
+                columns.setdefault(c, []).append(r)
+        index = {c: tuple(columns[c]) for c in sorted(columns)}
+        ordered = tuple([(c, r) for c, rows in index.items() for r in rows])
+        transposed = object.__new__(Diagram)
+        vars(transposed).update(cells=frozenset(ordered), sorted_cells=ordered)
+        vars(transposed).update(row_index=MappingProxyType(index), max_coordinate=self.max_coordinate)
+        return transposed
 
     @_cached_fact
     def dot_pieces(self) -> tuple[Piece, ...]:
@@ -252,10 +258,16 @@ class Diagram:
 
     @_cached_fact
     def numbering_mismatch(self) -> tuple[Cell, ...]:
-        """Bubbles whose horizontal and vertical labels differ, sorted."""
-        vertical = self._transposed.horizontal_labels
-        labels = self.horizontal_labels.items()
-        return tuple((r, c) for (r, c), label in labels if vertical[c, r] != label)
+        """Bubbles whose horizontal and vertical labels differ, sorted, in one pass."""
+        below: dict[int, int] = {}  # bubbles seen so far in each column
+        mismatch = []
+        for r, cols in self.row_index.items():
+            for label, c in enumerate(cols, r):
+                n = below.get(c, 0)
+                below[c] = n + 1
+                if c + n != label:
+                    mismatch.append((r, c))
+        return tuple(mismatch)
 
     @property
     def max_row(self) -> int:
@@ -293,7 +305,9 @@ class Diagram:
         if not isinstance(raw, list):
             raise ValueError('"cells" must be a list of [row, col] pairs')
         for entry in raw:
-            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_int, entry)):
+            if type(entry) is not list or len(entry) != 2 or not (
+                type(entry[0]) is type(entry[1]) is int
+            ):
                 raise ValueError(f"cell entry {entry!r} is not a [row, col] pair")
         cells = frozenset(map(tuple, raw))
         if len(cells) != len(raw):
@@ -334,7 +348,7 @@ class LehmerCode(_FieldsJson):
         if unknown := [key for key in obj if key != "counts"]:
             raise ValueError(f"code JSON has an unknown key: {unknown[0]!r}")
         raw = obj["counts"]
-        if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
+        if not isinstance(raw, list) or not all(type(v) is int for v in raw):
             raise ValueError('"counts" must be a list of integers')
         return cls.from_counts(raw)
 

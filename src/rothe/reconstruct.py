@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable
 
-from .core import Cell, CodeLike, Diagram, _as_counts, _FieldsJson, _is_int, _rothe_difference
+from .core import Cell, CodeLike, Diagram, _as_counts, _FieldsJson, _rothe_difference, _shown
 from .rules import NumberingRequiredError, RuleReport, _step_outs
 
 __all__ = [
@@ -43,7 +43,7 @@ class FreeColumns:
             if not col:
                 raise ValueError(f"column {index} is empty")
             for row in col:
-                if not _is_int(row) or row < 1:
+                if type(row) is not int or row < 1:
                     raise ValueError(f"column {index} has invalid row {row!r}")
 
     @classmethod
@@ -68,7 +68,7 @@ class FreeColumns:
         # Each column is hashed once; the constructor's frozenset() returns it as is.
         sets = []
         for index, col in enumerate(columns, 1):
-            if invalid := [row for row in col if not _is_int(row)]:
+            if invalid := [row for row in col if type(row) is not int]:
                 raise ValueError(f"column {index} has invalid row {invalid[0]!r}")
             sets.append(frozenset(col))
             if len(sets[-1]) != len(col):
@@ -85,10 +85,10 @@ class Placement(_FieldsJson):
     def __post_init__(self) -> None:
         positions = tuple(self.positions)
         object.__setattr__(self, "positions", positions)
-        if any(not _is_int(p) or p < 1 for p in positions):
-            raise ValueError(f"positions must be positive integers: {positions}")
+        if any(type(p) is not int or p < 1 for p in positions):
+            raise ValueError(f"positions must be positive integers: {_shown(positions)}")
         if any(b <= a for a, b in pairwise(positions)):
-            raise ValueError(f"positions must strictly increase: {positions}")
+            raise ValueError(f"positions must strictly increase: {_shown(positions)}")
 
 
 def build_from_row_counts(counts: CodeLike) -> Diagram:

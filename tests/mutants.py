@@ -46,6 +46,8 @@ class Mutant:
 CORE = "src/rothe/core.py"
 CLI = "src/rothe/cli.py"
 RECONSTRUCT = "src/rothe/reconstruct.py"
+RULES = "src/rothe/rules.py"
+SHARED = ("tests/test_shared_analysis.py",)
 CLI_USAGE = ("tests/test_byte_identity.py::test_cli_usage",)
 CORE_TYPES = ("tests/test_core.py::TestDiagramType", "tests/test_core.py::TestPermutation")
 CODE_TESTS = (
@@ -85,10 +87,10 @@ MUTANTS = (
         ("tests/test_core.py::TestDiagramType", "tests/test_cli.py::TestCheckCommand"),
     ),
     Mutant(
-        "_is_int takes int subclasses again",
-        CORE,
-        "    return type(value) is int\n",
-        "    return isinstance(value, int) and not isinstance(value, bool)\n",
+        "FreeColumns takes int subclasses again",
+        RECONSTRUCT,
+        "if type(row) is not int or row < 1:",
+        "if not isinstance(row, int) or isinstance(row, bool) or row < 1:",
         ("tests/test_reconstruct.py::TestReconstructTypes",),
     ),
     Mutant(
@@ -138,6 +140,27 @@ MUTANTS = (
 ''',
         "",
         ("tests/test_reconstruct.py::TestReconstructTypes", "tests/test_cli.py::TestPlaceCommand"),
+    ),
+    Mutant(
+        "the step-out sweep counts a cell in the same column as a step-out",
+        RULES,
+        "        if col > least:\n",
+        "        if col >= least:\n",
+        ("tests/test_rules.py::TestStepOuts",),
+    ),
+    Mutant(
+        "the numbering mismatch ranks each column's bubbles from one, not zero",
+        CORE,
+        "n = below.get(c, 0)",
+        "n = below.get(c, 1)",
+        SHARED,
+    ),
+    Mutant(
+        "the transpose keeps its column keys in first-seen order",
+        CORE,
+        "index = {c: tuple(columns[c]) for c in sorted(columns)}",
+        "index = {c: tuple(columns[c]) for c in columns}",
+        SHARED,
     ),
 )
 

@@ -4,10 +4,12 @@ These are the direct forms of what ``rothe`` computes from a diagram's
 shared, cached facts or with output-sensitive scans: the all-pairs
 southwest scan, the gap boxes counted by scanning every final bubble, the
 labelings and greedy dots built straight from the cell set, horizontal
-popping read directly off the column dots, and the inversions of a word
-found by comparing every pair of positions.  Each reads nothing but ``cells`` or the word, so a
-fault in a ``Diagram``'s cached members or in an output-sensitive scan
-cannot hide here.
+popping read directly off the column dots, the step-out pairs found by
+comparing every cell labelled n with every cell labelled n + 1, and the
+inversions of a word found by comparing every pair of positions.  Each
+reads nothing but ``cells``, the labels or the word, so a fault in a
+``Diagram``'s cached members or in an output-sensitive scan cannot hide
+here.
 
 The ``window_*`` functions are the rules that read the greedy dots, as
 they were computed before the dots became pieces: one dot per row up to a
@@ -200,6 +202,22 @@ def horizontal_popping_witnesses(cells) -> tuple[tuple[Cell, Cell], ...]:
             ((r, c), (r, dot_col_of_row[r]))
             for r, c in cells
             if r in dot_col_of_row and dot_col_of_row[r] < c
+        )
+    )
+
+
+def step_outs(labels) -> tuple[tuple[Cell, Cell], ...]:
+    """Every cell pair labelled (n, n+1) whose second cell lies strictly north-east."""
+    by_label: dict[int, list[Cell]] = {}
+    for cell, label in labels.items():
+        by_label.setdefault(label, []).append(cell)
+    return tuple(
+        sorted(
+            (a, b)
+            for label, cells in by_label.items()
+            for a in cells
+            for b in by_label.get(label + 1, ())
+            if b[0] > a[0] and b[1] > a[1]
         )
     )
 

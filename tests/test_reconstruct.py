@@ -254,4 +254,12 @@ class TestReconstructTypes:
             Placement((0, 1))
         with pytest.raises(ValueError, match="positive integers"):
             Placement((Row(1),))
+        # The error text shows the first 20 positions and the length, not all of them.
+        with pytest.raises(ValueError) as error:
+            Placement(tuple(range(100000, 0, -1)))
+        assert str(error.value) == (
+            "positions must strictly increase: (100000, 99999, 99998, 99997, 99996, 99995, "
+            "99994, 99993, 99992, 99991, 99990, 99989, 99988, 99987, 99986, 99985, 99984, "
+            "99983, 99982, 99981, ...) of length 100000"
+        )
         assert Placement((1, 3, 4, 6)).to_json_obj() == {"positions": [1, 3, 4, 6]}

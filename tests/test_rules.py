@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -33,6 +34,7 @@ from rothe import (
     recover_permutation,
     rothe_diagram,
     row_dots,
+    rules,
     vertical_numbering,
 )
 
@@ -242,6 +244,32 @@ class TestStepOuts:
     def test_rothe_diagrams_avoid_step_outs(self):
         for w in all_canonical(5):
             assert find_step_outs(rothe_diagram(w)).holds
+
+    def test_sweep_matches_pair_scan_on_every_3x4_diagram(self):
+        for d in enumerate_grid_diagrams(3, 4):
+            assert_step_outs_match(dict(d.horizontal_labels))
+
+    def test_sweep_matches_pair_scan_on_random_labels(self):
+        rng = random.Random("step-out sweep")
+        for _ in range(3000):
+            size = rng.randint(1, 24)
+            cells = {(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(size)}
+            assert_step_outs_match(dict(Diagram(frozenset(cells)).horizontal_labels))
+            # Arbitrary labels, as a free collection's labels need not come from a diagram.
+            assert_step_outs_match({cell: rng.randint(1, 6) for cell in cells})
+
+
+def assert_step_outs_match(labels) -> None:
+    """The dominance sweep flags exactly the labels the pair scan pairs, with equal output."""
+    expected = reference.step_outs(labels)
+    assert rules._step_outs(labels) == expected
+    stepping = {labels[a] for a, _ in expected}
+    by_label: dict[int, list] = {}
+    for cell, label in labels.items():
+        by_label.setdefault(label, []).append(cell)
+    for label, cells in by_label.items():
+        upper = by_label.get(label + 1, [])
+        assert rules._steps_out(cells, upper) == (label in stepping), (cells, upper)
 
 
 class TestFinalBubbles:

@@ -1,7 +1,8 @@
 """The shared per-diagram analysis against the reference algorithms.
 
-Southwest witnesses, gap boxes, labelings and dots must equal what the
-direct algorithms in ``reference.py`` compute from the bare cell set, on
+Southwest witnesses, gap boxes, labelings, the numbering mismatch, dots and
+the transpose must equal what the direct algorithms in ``reference.py``, or
+a freshly validated mirror diagram, compute from the bare cell set, on
 every 3x3 diagram, on random cell sets, and on Rothe diagrams with one cell
 removed or added.  A budget test pins the cost of ``classify`` on a large
 diagram.
@@ -10,9 +11,11 @@ diagram.
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import random
 import time
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
@@ -43,7 +46,17 @@ def assert_matches_reference(cells) -> None:
     assert check_southwest(diagram).witnesses == reference.southwest_witnesses(cells)
     assert gap_boxes(diagram) == reference.gap_boxes(cells)
     fresh = Diagram(frozenset(cells))
+    mirror = Diagram(frozenset((c, r) for r, c in cells))
     for used in (diagram, fresh):
+        transposed = used.transpose()
+        assert transposed.cells == mirror.cells
+        assert transposed.sorted_cells == mirror.sorted_cells
+        assert list(transposed.row_index.items()) == list(mirror.row_index.items())
+        assert transposed.max_coordinate == mirror.max_coordinate
+        horizontal = reference.horizontal_labels(cells)
+        vertical = reference.vertical_labels(cells)
+        disagree = tuple(sorted(cell for cell in cells if horizontal[cell] != vertical[cell]))
+        assert used.numbering_mismatch == disagree
         assert horizontal_numbering(used) == reference.horizontal_labels(cells)
         assert vertical_numbering(used) == reference.vertical_labels(cells)
         assert row_dots(used).dots == tuple(enumerate(reference.dot_columns(cells), 1))
@@ -100,6 +113,22 @@ def test_classified_diagram_pickles_and_copies():
     for clone in (pickle.loads(pickle.dumps(diagram)), copy.deepcopy(diagram)):
         assert clone == diagram
         assert classify(clone) == reports
+
+
+def test_classified_diagram_is_freed_without_the_cyclic_collector():
+    """The transpose holds no reference back, so a classified diagram is no cycle."""
+    diagram = Diagram.from_cells([(1, 2), (2, 1), (3, 3), (1, 1)])
+    classify(diagram)
+    assert diagram.transpose().transpose() == diagram
+    ref = weakref.ref(diagram)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del diagram
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_classify_budget_s60():
