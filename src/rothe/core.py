@@ -36,7 +36,10 @@ and row index, O(cells log cells); the transpose, from one walk of the row
 index that sorts only the column keys, O(cells + columns log columns);
 horizontal labels and the numbering mismatch, one pass up the rows,
 O(cells); the dot pieces and their inverse, O(cells log cells), whatever
-the coordinates.  Column facts are the row facts of the transpose.
+the coordinates.  Column facts are the row facts of the transpose.  Public
+constructors validate every value; ``_checked`` skips that, and only code in
+the package whose values are already checked calls it: the JSON loaders, the
+builders of their own cells and the transpose, which pass the facts they hold.
 """
 
 from __future__ import annotations
@@ -110,6 +113,13 @@ class _FieldsJson:
 
     def to_json_obj(self) -> dict:
         return _json_value(self)
+
+
+def _checked(cls, **members):
+    """``cls`` holding ``members``, without ``__post_init__``: for values already checked."""
+    instance = object.__new__(cls)
+    vars(instance).update(members)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -229,10 +239,8 @@ class Diagram:
                 columns.setdefault(c, []).append(r)
         index = {c: tuple(columns[c]) for c in sorted(columns)}
         ordered = tuple([(c, r) for c, rows in index.items() for r in rows])
-        transposed = object.__new__(Diagram)
-        vars(transposed).update(cells=frozenset(ordered), sorted_cells=ordered)
-        vars(transposed).update(row_index=MappingProxyType(index), max_coordinate=self.max_coordinate)
-        return transposed
+        facts = dict(row_index=MappingProxyType(index), max_coordinate=self.max_coordinate)
+        return _checked(Diagram, cells=frozenset(ordered), sorted_cells=ordered, **facts)
 
     @_cached_fact
     def dot_pieces(self) -> tuple[Piece, ...]:
@@ -304,15 +312,19 @@ class Diagram:
         raw = obj["cells"]
         if not isinstance(raw, list):
             raise ValueError('"cells" must be a list of [row, col] pairs')
+        low = False  # a coordinate below 1: the constructor names the same cell as ever
         for entry in raw:
             if type(entry) is not list or len(entry) != 2 or not (
                 type(entry[0]) is type(entry[1]) is int
             ):
                 raise ValueError(f"cell entry {entry!r} is not a [row, col] pair")
-        cells = frozenset(map(tuple, raw))
+            if entry[0] < 1 or entry[1] < 1:
+                low = True
+        pairs = tuple(map(tuple, raw))  # sorted in one pass when in order, as written out
+        cells = frozenset(pairs)
         if len(cells) != len(raw):
             raise ValueError("duplicate cells in diagram JSON")
-        return cls(cells)
+        return cls(cells) if low else _checked(cls, cells=cells, sorted_cells=tuple(sorted(pairs)))
 
 
 @dataclass(frozen=True)
@@ -424,7 +436,7 @@ def rothe_diagram(w: Permutation) -> Diagram:
             else:
                 after[v] = v = after[after[v]]
         after[wi] = wi + 1
-    return Diagram(frozenset(cells))
+    return _checked(Diagram, cells=frozenset(cells), sorted_cells=tuple(cells))  # row-major
 
 
 def rothe_via_death_rays(w: Permutation) -> Diagram:

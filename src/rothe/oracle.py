@@ -28,6 +28,7 @@ from .core import (
     Cell,
     Diagram,
     Permutation,
+    _checked,
     _FieldsJson,
     lehmer_code,
     permutation_from_lehmer,
@@ -76,7 +77,8 @@ def _grid_positions(rows: int, cols: int) -> list[Cell]:
 
 def _mask_diagram(positions: list[Cell], mask: int) -> Diagram:
     """The diagram holding the positions whose bits are set in ``mask``."""
-    return Diagram(frozenset(pos for bit, pos in enumerate(positions) if mask >> bit & 1))
+    cells = frozenset(pos for bit, pos in enumerate(positions) if mask >> bit & 1)
+    return _checked(Diagram, cells=cells)
 
 
 def enumerate_grid_diagrams(rows: int, cols: int) -> Iterator[Diagram]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable
 
-from .core import Cell, CodeLike, Diagram, _as_counts, _FieldsJson, _rothe_difference, _shown
+from .core import Cell, CodeLike, Diagram, _as_counts, _checked, _FieldsJson, _rothe_difference, _shown
 from .rules import NumberingRequiredError, RuleReport, _step_outs
 
 __all__ = [
@@ -65,7 +65,7 @@ class FreeColumns:
             isinstance(col, list) for col in columns
         ):
             raise ValueError('"columns" must be a list of row lists')
-        # Each column is hashed once; the constructor's frozenset() returns it as is.
+        # Each column is hashed once; only a failing collection meets the constructor's checks.
         sets = []
         for index, col in enumerate(columns, 1):
             if invalid := [row for row in col if type(row) is not int]:
@@ -73,7 +73,8 @@ class FreeColumns:
             sets.append(frozenset(col))
             if len(sets[-1]) != len(col):
                 raise ValueError(f"column {index} repeats a row")
-        return cls(sets)
+        bounded = all(col and min(col) >= 1 for col in sets)
+        return _checked(cls, columns=tuple(sets)) if bounded else cls(sets)
 
 
 @dataclass(frozen=True)
@@ -103,19 +104,19 @@ def build_from_row_counts(counts: CodeLike) -> Diagram:
     """
     values = _as_counts(counts)
     dotted: set[int] = set()
-    cells: set[Cell] = set()
+    cells: list[Cell] = []  # row-major
     for row, wanted in enumerate(values, 1):
         col = 1
         placed = 0
         while placed < wanted:
             if col not in dotted:
-                cells.add((row, col))
+                cells.append((row, col))
                 placed += 1
             col += 1
         while col in dotted:
             col += 1
         dotted.add(col)
-    return Diagram(frozenset(cells))
+    return _checked(Diagram, cells=frozenset(cells), sorted_cells=tuple(cells))
 
 
 def build_stepout_avoiding(counts: CodeLike) -> Diagram:
@@ -131,7 +132,7 @@ def build_stepout_avoiding(counts: CodeLike) -> Diagram:
     """
     values = _as_counts(counts)
     height: dict[int, int] = {}
-    cells: set[Cell] = set()
+    cells: list[Cell] = []  # row-major
     for row, wanted in enumerate(values, 1):
         prev = 0
         for k in range(1, wanted + 1):
@@ -145,10 +146,10 @@ def build_stepout_avoiding(counts: CodeLike) -> Diagram:
                 raise RuntimeError(
                     f"no column yields label {target} for bubble {k} of row {row}"
                 )
-            cells.add((row, col))
+            cells.append((row, col))
             height[col] = height.get(col, 0) + 1
             prev = col
-    return Diagram(frozenset(cells))
+    return _checked(Diagram, cells=frozenset(cells), sorted_cells=tuple(cells))
 
 
 def _free_labels(collection: FreeColumns) -> dict[Cell, int]:
@@ -223,7 +224,7 @@ def place_free_columns(collection: FreeColumns) -> tuple[Placement, Diagram] | N
     cells = frozenset(
         (row, pos) for pos, col in zip(positions, collection.columns) for row in col
     )
-    diagram = Diagram(cells)
+    diagram = _checked(Diagram, cells=cells)
     if _rothe_difference(diagram):
         raise RuntimeError(f"placed diagram is not recoverable: {sorted(cells)}")
     return Placement(positions), diagram

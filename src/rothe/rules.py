@@ -13,15 +13,15 @@ which also reads permutations off them.
 The checkers read the facts a :class:`~rothe.core.Diagram` caches, so one
 :func:`classify` computes each fact once; no rule reads another's verdict,
 and the numbering rule and the step-out scan's precondition read the same
-cached numbering mismatch.  Beyond those facts, ``southwest``,
-``numbering`` and ``empty_cell_gap`` cost O(cells log cells) plus their
-witnesses, ``dot`` O(pieces) plus its witnesses, the popping rules
-O(cells log cells + pieces), ``is_rothe`` O(pieces log pieces + cells)
-plus its witnesses, and ``step_out`` O(cells log cells) by a dominance
-sweep per label, pairing cells only where it finds a step-out plus their
-witnesses; none depends on how large a coordinate is.  A failing far-out
-diagram can still have O(largest coordinate) dot witnesses.
-Horizontal popping is vertical popping of the transpose, mirrored back.
+cached numbering mismatch.  Beyond those facts, ``southwest``, ``numbering``
+and ``empty_cell_gap`` cost O(cells log cells) plus their witnesses, ``dot``
+O(pieces) plus its witnesses, the popping rules O(columns + pieces) plus
+their witnesses, sorted, ``is_rothe`` O(pieces log pieces + cells) plus its
+witnesses, and ``step_out`` O(cells log cells) by a dominance sweep per
+label, pairing cells only where it finds a step-out plus their witnesses;
+none depends on how large a coordinate is.  A failing far-out diagram can
+still have O(largest coordinate) dot witnesses.  Horizontal popping is
+vertical popping of the transpose, read off this diagram's row index.
 """
 
 from __future__ import annotations
@@ -29,15 +29,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterator
+from typing import Iterator, Mapping
 
-from .core import (
-    Cell,
-    Diagram,
-    _FieldsJson,
-    _json_value,
-    _rothe_difference,
-)
+from .core import Cell, Diagram, _FieldsJson, _rothe_difference
 
 __all__ = [
     "DotSet",
@@ -140,11 +134,15 @@ class RuleReport:
         return not self.witnesses
 
     def to_json_obj(self) -> dict:
-        return {
-            "rule": self.rule,
-            "holds": self.holds,
-            "witnesses": _json_value(self.witnesses),
-        }
+        """Witnesses listed by the shape of the first: gap boxes, cells or cell pairs."""
+        first = self.witnesses[0] if self.witnesses else ()
+        if isinstance(first, GapBox):
+            listed = [box.to_json_obj() for box in self.witnesses]
+        elif not first or type(first[0]) is int:
+            listed = [[*cell] for cell in self.witnesses]
+        else:
+            listed = [[[*a], [*b]] for a, b in self.witnesses]
+        return {"rule": self.rule, "holds": self.holds, "witnesses": listed}
 
 
 def row_dots(diagram: Diagram) -> DotSet:
@@ -194,28 +192,30 @@ def check_dot_rule(diagram: Diagram) -> RuleReport:
     return RuleReport("dot", tuple(witnesses))
 
 
-def check_vertical_popping(diagram: Diagram) -> RuleReport:
-    """No bubble may sit strictly above a row dot in its column.
-
-    The occupied columns, ascending, are matched with the pieces read by
-    column in one pass, which gives the row of each one's dot.
-    """
-    pieces = iter(diagram.inverse_dot_pieces)
+def _popping(inverse_pieces: tuple, columns: Mapping[int, tuple[int, ...]]) -> list:
+    """Each bubble above its column's dot, with the dot; columns meet the pieces in one pass."""
+    pieces = iter(inverse_pieces)
     col_lo, col_hi, row_lo = next(pieces)
-    dot_row = {}
-    for c in sorted({c for _, c in diagram.cells}):
+    witnesses = []
+    for c, rows in columns.items():
         while col_hi < c:
             col_lo, col_hi, row_lo = next(pieces)
-        dot_row[c] = row_lo + c - col_lo
-    witnesses = [((r, c), (dot_row[c], c)) for r, c in diagram.sorted_cells if dot_row[c] < r]
-    return RuleReport("vertical_popping", tuple(witnesses))
+        dot = row_lo + c - col_lo
+        witnesses += [((r, c), (dot, c)) for r in rows[bisect_right(rows, dot) :]]
+    return witnesses
+
+
+def check_vertical_popping(diagram: Diagram) -> RuleReport:
+    """No bubble may sit strictly above a row dot in its column."""
+    witnesses = _popping(diagram.inverse_dot_pieces, diagram.transpose().row_index)
+    return RuleReport("vertical_popping", tuple(sorted(witnesses)))
 
 
 def check_horizontal_popping(diagram: Diagram) -> RuleReport:
     """No bubble may sit strictly right of a column dot in its row."""
-    mirrored = check_vertical_popping(diagram.transpose()).witnesses
-    witnesses = sorted(((r, c), (dr, dc)) for (c, r), (dc, dr) in mirrored)
-    return RuleReport("horizontal_popping", tuple(witnesses))
+    mirrored = _popping(diagram.transpose().inverse_dot_pieces, diagram.row_index)
+    witnesses = tuple(((r, c), (r, dot)) for (c, r), (dot, _) in mirrored)  # read row by row
+    return RuleReport("horizontal_popping", witnesses)
 
 
 def check_southwest(diagram: Diagram) -> RuleReport:

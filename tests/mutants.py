@@ -54,6 +54,7 @@ CODE_TESTS = (
     "tests/test_core.py::TestLehmerCode",
     "tests/test_reconstruct.py::TestBuildFromRowCounts",
 )
+CHECK_PATH = ("tests/test_check_path.py",)
 
 MUTANTS = (
     Mutant(
@@ -161,6 +162,39 @@ MUTANTS = (
         "index = {c: tuple(columns[c]) for c in sorted(columns)}",
         "index = {c: tuple(columns[c]) for c in columns}",
         SHARED,
+    ),
+    Mutant(
+        "Diagram.from_json_obj builds cells below 1 without the constructor's check",
+        CORE,
+        """            if entry[0] < 1 or entry[1] < 1:
+                low = True
+""",
+        "",
+        CHECK_PATH + ("tests/test_core.py::TestDiagramType",),
+    ),
+    Mutant(
+        "the report serialiser writes a cell pair in reverse",
+        RULES,
+        "listed = [[[*a], [*b]] for a, b in self.witnesses]",
+        "listed = [[[*b], [*a]] for a, b in self.witnesses]",
+        CHECK_PATH,
+    ),
+    Mutant(
+        "vertical popping leaves its witnesses in column order",
+        RULES,
+        'return RuleReport("vertical_popping", tuple(sorted(witnesses)))',
+        'return RuleReport("vertical_popping", tuple(witnesses))',
+        CHECK_PATH,
+    ),
+    # Equivalent: a column's dot sits right of its row's bubbles, so no bubble
+    # of the column lies on the dot's row and both bisections cut the same place.
+    Mutant(
+        "popping slices a column's rows from bisect_left of the dot row",
+        RULES,
+        "for r in rows[bisect_right(rows, dot) :]",
+        "for r in rows[bisect_left(rows, dot) :]",
+        CHECK_PATH + ("tests/test_dot_pieces.py",),
+        expect="survived",
     ),
 )
 

@@ -18,6 +18,10 @@ window's dots fill columns 1..horizon.
 
 ``vertical_ascension`` is the paper's rule of that name, which ``rothe``
 does not run; the tests compare it with the library's Rothe verdict.
+
+``per_cell_vertical_popping`` and ``per_cell_horizontal_popping`` are the
+popping rules as they read a diagram's dot pieces before they worked per
+occupied column: every column's dot row first, then a scan of every cell.
 """
 
 from __future__ import annotations
@@ -186,6 +190,24 @@ def window_vertical_popping_witnesses(cells) -> tuple[tuple[Cell, Cell], ...]:
             if c in dot_row_of_col and dot_row_of_col[c] < r
         )
     )
+
+
+def per_cell_vertical_popping(diagram) -> tuple[tuple[Cell, Cell], ...]:
+    """Each bubble strictly above the row dot in its column, scanning every cell in order."""
+    pieces = iter(diagram.inverse_dot_pieces)
+    col_lo, col_hi, row_lo = next(pieces)
+    dot_row = {}
+    for c in sorted({c for _, c in diagram.cells}):
+        while col_hi < c:
+            col_lo, col_hi, row_lo = next(pieces)
+        dot_row[c] = row_lo + c - col_lo
+    return tuple(((r, c), (dot_row[c], c)) for r, c in diagram.sorted_cells if dot_row[c] < r)
+
+
+def per_cell_horizontal_popping(diagram) -> tuple[tuple[Cell, Cell], ...]:
+    """Vertical popping of the transpose, mirrored back and sorted."""
+    mirrored = per_cell_vertical_popping(diagram.transpose())
+    return tuple(sorted(((r, c), (dr, dc)) for (c, r), (dc, dr) in mirrored))
 
 
 def window_rothe_reading(cells) -> tuple[Permutation, tuple[Cell, ...]]:

@@ -4,8 +4,9 @@ Southwest witnesses, gap boxes, labelings, the numbering mismatch, dots and
 the transpose must equal what the direct algorithms in ``reference.py``, or
 a freshly validated mirror diagram, compute from the bare cell set, on
 every 3x3 diagram, on random cell sets, and on Rothe diagrams with one cell
-removed or added.  A budget test pins the cost of ``classify`` on a large
-diagram.
+removed or added.  Diagrams that in-package builders make without
+re-validating their cells must equal freshly validated ones, facts and all.
+A budget test pins the cost of ``classify`` on a large diagram.
 """
 
 from __future__ import annotations
@@ -22,13 +23,19 @@ from hypothesis import given, settings, strategies as st
 import reference
 from rothe import (
     Diagram,
+    FreeColumns,
     Permutation,
+    build_from_row_counts,
+    build_stepout_avoiding,
     check_southwest,
     classify,
     column_dots,
     enumerate_grid_diagrams,
+    enumerate_permutations,
     gap_boxes,
     horizontal_numbering,
+    lehmer_code,
+    place_free_columns,
     rothe_diagram,
     row_dots,
     vertical_numbering,
@@ -97,6 +104,31 @@ def test_rothe_diagrams_with_one_cell_removed_or_added():
         assert_matches_reference(cells)
         for variant in one_cell_variants(cells):
             assert_matches_reference(variant)
+
+
+def assert_facts_as_validated(diagram: Diagram) -> None:
+    fresh = Diagram(frozenset(diagram.cells))
+    assert type(diagram.cells) is frozenset
+    assert diagram == fresh and hash(diagram) == hash(fresh)
+    assert diagram.sorted_cells == fresh.sorted_cells
+    assert list(diagram.row_index.items()) == list(fresh.row_index.items())
+    assert diagram.max_coordinate == fresh.max_coordinate
+    assert classify(diagram) == classify(fresh)
+
+
+def test_checked_builds_match_validated_diagrams():
+    """Rothe diagrams of S_1..S_6, both builders, placed columns and grid masks."""
+    for n in range(1, 7):
+        for w in enumerate_permutations(n):
+            diagram = rothe_diagram(w)
+            assert_facts_as_validated(diagram)
+            code = lehmer_code(w)
+            assert_facts_as_validated(build_from_row_counts(code))
+            assert_facts_as_validated(build_stepout_avoiding(code))
+            _, placed = place_free_columns(FreeColumns(diagram.transpose().row_index.values()))
+            assert_facts_as_validated(placed)
+    for diagram in enumerate_grid_diagrams(3, 3):
+        assert_facts_as_validated(diagram)
 
 
 def test_returned_labelings_are_copies():
