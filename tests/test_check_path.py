@@ -2,11 +2,14 @@
 
 ``Diagram.from_json_obj`` checks each value once and builds through the
 checked constructor; it must give what the validating constructor gives,
-the same diagram or the same error text.  ``RuleReport.to_json_obj`` lists
-witnesses by shape and must equal the recursive ``_json_value``.  Both
+the same diagram or the same error text, on hypothesis documents and on
+hand-picked bad values, and ``FreeColumns.from_json_obj`` must keep its
+error texts and their order.  ``RuleReport.to_json_obj`` lists witnesses by
+shape and must write what the recursive ``_json_value`` wrote.  Both
 popping rules work per occupied column and must equal the per-cell scans
-in ``reference.py``.  Each is compared on every 3x4 diagram, on the Rothe
-diagrams of S_1..S_7, and on random cell sets with coordinates near 10^9.
+in ``reference.py``.  Popping and the serialiser are compared on every 3x4
+diagram, on the Rothe diagrams of S_1..S_7, and on random cell sets with
+coordinates near 10^9.
 """
 
 from __future__ import annotations
