@@ -225,18 +225,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    combined = {
-        "characterizations": verify_characterizations(rows, cols, jobs=jobs).to_json_obj(),
-        "lehmer": verify_lehmer_bijection(args.n).to_json_obj(),
-        "properties": verify_rothe_properties(args.n).to_json_obj(),
-    }
-    _print_json(combined)
-    clean = (
-        combined["characterizations"]["counterexample_total"] == 0
-        and combined["lehmer"]["failure_total"] == 0
-        and combined["properties"]["failure_total"] == 0
-    )
-    return 0 if clean else 1
+    grid = verify_characterizations(rows, cols, jobs=jobs)
+    lehmer = verify_lehmer_bijection(args.n, jobs=jobs)
+    properties = verify_rothe_properties(args.n, jobs=jobs)
+    reports = {"characterizations": grid, "lehmer": lehmer, "properties": properties}
+    _print_json({name: report.to_json_obj() for name, report in reports.items()})
+    failed = grid.counterexample_total or lehmer.failure_total or properties.failure_total
+    return 1 if failed else 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

@@ -10,9 +10,9 @@ from :mod:`rothe.rules`, so a fault in the rules' shared facts cannot hide
 in the sweep that checks them; ``tests/test_sweep_kernel.py`` pins it to
 :func:`~rothe.rules.condition_verdicts`.  At about 17 µs a mask, one
 process sweeps 3x4 in 0.07 s and 4x4 in 1.1 s; one 2^20-mask chunk of 5x5
-took 22 s, so all of 5x5 should take about 12 minutes.  The process pool
-is loaded only when ``jobs`` (``rothe verify --jobs``) asks for more than
-one worker.
+took 22 s, so all of 5x5 should take about 12 minutes.  All three sweeps
+run through one driver, :func:`_run`, which loads the process pool only when
+``jobs`` (``rothe verify --jobs``) asks for more than one worker.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import concurrent.futures
 import os
 import time
 from dataclasses import dataclass
-from itertools import permutations as _lex_words
+from itertools import chain, permutations as _lex_words
 from typing import Callable, Iterator
 
 from .core import (
@@ -50,6 +50,37 @@ __all__ = [
 MAX_SIZE = 9
 MAX_GRID_CELLS = 25
 COUNTEREXAMPLE_CAP = 10
+GRID_SPANS = 64
+
+
+def _run(chunk: Callable[..., tuple], spans: list[tuple], jobs: int) -> tuple:
+    """Merge ``chunk(*span)`` over the spans, on a process pool above one clamped job.
+
+    Pieces are (counts, found, total, examined); found entries are capped once.
+    """
+    jobs = min(jobs, os.cpu_count() or 1, len(spans))
+    if jobs <= 1:
+        pieces = [chunk(*span) for span in spans]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            pieces = list(pool.map(chunk, *zip(*spans)))
+    counts, found, totals, examined = zip(*pieces)
+    summed = {key: sum(piece[key] for piece in counts) for key in counts[0]}
+    joined = [entry for entries in found for entry in entries]
+    return summed, joined[:COUNTEREXAMPLE_CAP], sum(totals), sum(examined)
+
+
+def _first_letters(n: int) -> range:
+    """The letters 1..n, once n is within the size cap."""
+    if not 1 <= n <= MAX_SIZE:
+        raise ValueError(f"size must be between 1 and {MAX_SIZE}, got {n}")
+    return range(1, n + 1)
+
+
+def _permutations_from(n: int, first: int) -> Iterator[Permutation]:
+    """The permutations of {1..n} whose word starts with ``first``, in lexicographic order."""
+    for rest in _lex_words([v for v in range(1, n + 1) if v != first]):
+        yield Permutation.from_word((first, *rest))
 
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
@@ -58,10 +89,7 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
     >>> [str(w) for w in enumerate_permutations(2)]
     ['1', '21']
     """
-    if not 1 <= n <= MAX_SIZE:
-        raise ValueError(f"size must be between 1 and {MAX_SIZE}, got {n}")
-    for word in _lex_words(range(1, n + 1)):
-        yield Permutation.from_word(word)
+    return chain.from_iterable(_permutations_from(n, first) for first in _first_letters(n))
 
 
 def _grid_positions(rows: int, cols: int) -> list[Cell]:
@@ -196,12 +224,7 @@ def _mask_verdicts(rows: int, cols: int, mask: int) -> dict[str, bool]:
 
 
 def _characterization_chunk(rows: int, cols: int, lo: int, hi: int) -> tuple:
-    """Scan grid masks lo..hi-1; must stay importable for worker processes.
-
-    Only a mask whose verdicts disagree becomes a :class:`Diagram`, for the
-    cells of its counterexample entry.
-    """
-    positions = _grid_positions(rows, cols)
+    """Scan grid masks lo..hi-1; only a counterexample's mask becomes a :class:`Diagram`."""
     counts: dict[str, int] = {}
     counterexamples: list[dict] = []
     total = 0
@@ -212,7 +235,7 @@ def _characterization_chunk(rows: int, cols: int, lo: int, hi: int) -> tuple:
         if len(set(verdicts.values())) > 1:
             total += 1
             if len(counterexamples) < COUNTEREXAMPLE_CAP:
-                diagram = _mask_diagram(positions, mask)
+                diagram = _mask_diagram(_grid_positions(rows, cols), mask)
                 counterexamples.append({**diagram.to_json_obj(), "verdicts": verdicts})
     return counts, counterexamples, total, hi - lo
 
@@ -220,50 +243,26 @@ def _characterization_chunk(rows: int, cols: int, lo: int, hi: int) -> tuple:
 def verify_characterizations(rows: int, cols: int, jobs: int = 1) -> EquivalenceReport:
     """Check that all five conditions agree on every diagram in the grid.
 
-    The scan can be split over up to ``jobs`` processes, one per CPU at
-    most; the merged report is identical either way.  Counterexamples are
-    capped at ``COUNTEREXAMPLE_CAP`` entries but always counted in full.
+    Counterexamples are the first ``COUNTEREXAMPLE_CAP`` in mask order, by cells.
     """
-    size = 1 << len(_grid_positions(rows, cols))
-    jobs = min(jobs, os.cpu_count() or 1, size)
     started = time.perf_counter()
-    if jobs <= 1:
-        pieces = [_characterization_chunk(rows, cols, 0, size)]
-    else:
-        step = -(-size // jobs)
-        spans = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            pieces = list(
-                pool.map(
-                    _characterization_chunk,
-                    *zip(*((rows, cols, lo, hi) for lo, hi in spans)),
-                )
-            )
-    counts: dict[str, int] = {}
-    counterexamples: list[dict] = []
-    total = 0
-    examined = 0
-    for piece_counts, piece_ces, piece_total, piece_examined in pieces:
-        for key, value in piece_counts.items():
-            counts[key] = counts.get(key, 0) + value
-        counterexamples.extend(piece_ces)
-        total += piece_total
-        examined += piece_examined
-    counterexamples.sort(key=lambda ce: ce["cells"])
-    elapsed = (time.perf_counter() - started) * 1000
+    size = 1 << len(_grid_positions(rows, cols))
+    step = -(-size // GRID_SPANS)
+    spans = [(rows, cols, lo, min(lo + step, size)) for lo in range(0, size, step)]
+    counts, found, total, examined = _run(_characterization_chunk, spans, jobs)
     return EquivalenceReport(
         bounds=f"{rows}x{cols} grid",
         examined=examined,
         counts=counts,
-        counterexamples=tuple(counterexamples[:COUNTEREXAMPLE_CAP]),
+        counterexamples=tuple(sorted(found, key=lambda ce: ce["cells"])),
         counterexample_total=total,
-        elapsed_ms=elapsed,
+        elapsed_ms=(time.perf_counter() - started) * 1000,
     )
 
 
 @dataclass(frozen=True)
 class SweepReport(_FieldsJson):
-    """Outcome of a per-permutation sweep."""
+    """Outcome of a per-permutation sweep; failures are capped like counterexamples."""
 
     bounds: str
     checked: int
@@ -272,49 +271,52 @@ class SweepReport(_FieldsJson):
     elapsed_ms: float
 
 
-def _sweep(n: int, failures_of: Callable[[Permutation], list[dict]]) -> SweepReport:
-    """Collect the failures ``failures_of`` finds on each permutation of {1..n}, timed."""
+def _permutation_chunk(failures_of: Callable, n: int, first: int) -> tuple:
+    """Collect what ``failures_of`` finds on the permutations of {1..n} starting with ``first``."""
+    found: list[dict] = []
+    total = checked = 0
+    for checked, w in enumerate(_permutations_from(n, first), 1):
+        failures = failures_of(w)
+        total += len(failures)
+        found += failures[: COUNTEREXAMPLE_CAP - len(found)]
+    return {}, found, total, checked
+
+
+def _sweep(n: int, failures_of: Callable[[Permutation], list[dict]], jobs: int) -> SweepReport:
+    """Run ``failures_of`` on each permutation of {1..n}, one span per first letter, timed."""
     started = time.perf_counter()
-    checked = 0
-    failures: list[dict] = []
-    for w in enumerate_permutations(n):
-        checked += 1
-        failures.extend(failures_of(w))
-    elapsed = (time.perf_counter() - started) * 1000
+    spans = [(failures_of, n, first) for first in _first_letters(n)]
+    _, failures, total, checked = _run(_permutation_chunk, spans, jobs)
     return SweepReport(
         bounds=f"n={n}",
         checked=checked,
         failures=tuple(failures),
-        failure_total=len(failures),
-        elapsed_ms=elapsed,
+        failure_total=total,
+        elapsed_ms=(time.perf_counter() - started) * 1000,
     )
 
 
-def verify_lehmer_bijection(n: int) -> SweepReport:
-    """Round-trip every permutation of {1..n} through its row counts.
-
-    Each permutation must survive code-and-decode unchanged, and the greedy
-    builder must reproduce its diagram from the code alone.
-    """
-
-    def failures_of(w: Permutation) -> list[dict]:
-        code = lehmer_code(w)
-        if permutation_from_lehmer(code) != w:
-            return [{"permutation": str(w), "stage": "round_trip"}]
-        if build_from_row_counts(code) != rothe_diagram(w):
-            return [{"permutation": str(w), "stage": "build"}]
-        return []
-
-    return _sweep(n, failures_of)
+def _lehmer_failures(w: Permutation) -> list[dict]:
+    """The stage at which ``w`` fails to round-trip through its row counts, if any."""
+    code = lehmer_code(w)
+    if permutation_from_lehmer(code) != w:
+        return [{"permutation": str(w), "stage": "round_trip"}]
+    if build_from_row_counts(code) != rothe_diagram(w):
+        return [{"permutation": str(w), "stage": "build"}]
+    return []
 
 
-def verify_rothe_properties(n: int) -> SweepReport:
+def _property_failures(w: Permutation) -> list[dict]:
+    """The rules that fail on the diagram of ``w``."""
+    failed = [report.rule for report in classify(rothe_diagram(w)) if not report.holds]
+    return [{"permutation": str(w), "rule": rule} for rule in failed]
+
+
+def verify_lehmer_bijection(n: int, jobs: int = 1) -> SweepReport:
+    """Round-trip each permutation of {1..n} through its row counts and the builder."""
+    return _sweep(n, _lehmer_failures, jobs)
+
+
+def verify_rothe_properties(n: int, jobs: int = 1) -> SweepReport:
     """Every rule must hold on the diagram of every permutation of {1..n}."""
-    return _sweep(
-        n,
-        lambda w: [
-            {"permutation": str(w), "rule": report.rule}
-            for report in classify(rothe_diagram(w))
-            if not report.holds
-        ],
-    )
+    return _sweep(n, _property_failures, jobs)

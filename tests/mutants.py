@@ -47,6 +47,7 @@ CORE = "src/rothe/core.py"
 CLI = "src/rothe/cli.py"
 RECONSTRUCT = "src/rothe/reconstruct.py"
 RULES = "src/rothe/rules.py"
+ORACLE = "src/rothe/oracle.py"
 SHARED = ("tests/test_shared_analysis.py",)
 CLI_USAGE = ("tests/test_byte_identity.py::test_cli_usage",)
 CORE_TYPES = ("tests/test_core.py::TestDiagramType", "tests/test_core.py::TestPermutation")
@@ -55,6 +56,10 @@ CODE_TESTS = (
     "tests/test_reconstruct.py::TestBuildFromRowCounts",
 )
 CHECK_PATH = ("tests/test_check_path.py",)
+MERGE = (
+    "tests/test_sweep_kernel.py::test_capped_counterexamples_do_not_depend_on_jobs",
+    "tests/test_oracle.py::TestMerge",
+)
 
 MUTANTS = (
     Mutant(
@@ -185,6 +190,27 @@ MUTANTS = (
         'return RuleReport("vertical_popping", tuple(sorted(witnesses)))',
         'return RuleReport("vertical_popping", tuple(witnesses))',
         CHECK_PATH,
+    ),
+    Mutant(
+        "the sweep merge keeps every span's entries, uncapped",
+        ORACLE,
+        "joined[:COUNTEREXAMPLE_CAP]",
+        "joined",
+        MERGE,
+    ),
+    Mutant(
+        "the sweep merge sorts the joined entries by cells before it caps",
+        ORACLE,
+        "return summed, joined[:COUNTEREXAMPLE_CAP],",
+        'return summed, sorted(joined, key=lambda e: e.get("cells", []))[:COUNTEREXAMPLE_CAP],',
+        MERGE,
+    ),
+    Mutant(
+        "the sweep driver clamps jobs to the CPU count only, not to the span count",
+        ORACLE,
+        "jobs = min(jobs, os.cpu_count() or 1, len(spans))",
+        "jobs = min(jobs, os.cpu_count() or 1)",
+        ("tests/test_oracle.py::TestJobsClamp",),
     ),
     # Equivalent: a column's dot sits right of its row's bubbles, so no bubble
     # of the column lies on the dot's row and both bisections cut the same place.

@@ -22,12 +22,15 @@ does not run; the tests compare it with the library's Rothe verdict.
 ``per_cell_vertical_popping`` and ``per_cell_horizontal_popping`` are the
 popping rules as they read a diagram's dot pieces before they worked per
 occupied column: every column's dot row first, then a scan of every cell.
+
+``lex_permutations`` is the permutation enumeration as it was before the
+sweeps split it by first letter: one pass of ``itertools.permutations``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import pairwise
+from itertools import pairwise, permutations
 
 from rothe import GapBox, Permutation, rothe_diagram
 
@@ -256,3 +259,9 @@ def inversion_counts(word) -> tuple[int, ...]:
     """For each position, the later positions holding a smaller value."""
     n = len(word)
     return tuple(sum(1 for j in range(i + 1, n) if word[i] > word[j]) for i in range(n))
+
+
+def lex_permutations(n: int):
+    """The permutations of {1..n} in lexicographic word order, from one flat enumeration."""
+    for word in permutations(range(1, n + 1)):
+        yield Permutation.from_word(word)

@@ -7,11 +7,12 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rothe import Diagram, FreeColumns, LehmerCode
+from rothe import Diagram, FreeColumns, LehmerCode, oracle
 from rothe.cli import main
 
 from goldens import (
@@ -317,6 +318,22 @@ class TestVerifyCommand:
         assert obj["characterizations"]["counterexample_total"] == 0
         assert obj["lehmer"]["failure_total"] == 0
         assert obj["properties"]["failure_total"] == 0
+
+    @pytest.mark.parametrize("failing", ["characterizations", "lehmer", "properties"])
+    def test_any_failing_sweep_exits_1(self, failing, capsys, monkeypatch):
+        patches = {
+            "characterizations": ("_mask_verdicts", lambda *args: {"rothe": True, "dot": False}),
+            "lehmer": ("build_from_row_counts", lambda code: Diagram()),
+            "properties": ("classify", lambda diagram: [SimpleNamespace(rule="dot", holds=False)]),
+        }
+        monkeypatch.setattr(oracle, *patches[failing])
+        code, out, _ = run_cli(["verify", "--n", "3", "--grid", "2x2"], capsys)
+        assert code == 1
+        totals = {
+            name: report.get("counterexample_total", report.get("failure_total"))
+            for name, report in json.loads(out).items()
+        }
+        assert {name for name, total in totals.items() if total} == {failing}
 
     def test_grid_guard_exit_2(self, capsys):
         code, _, err = run_cli(["verify", "--grid", "9x9"], capsys)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
+import reference
 from rothe import (
     Diagram,
     Permutation,
@@ -18,6 +23,12 @@ from rothe import (
     verify_rothe_properties,
 )
 from rothe import oracle
+
+
+def _without_elapsed(report) -> str:
+    obj = report.to_json_obj()
+    obj.pop("elapsed_ms")
+    return json.dumps(obj, sort_keys=True)
 
 
 class TestEnumeratePermutations:
@@ -36,6 +47,13 @@ class TestEnumeratePermutations:
         for n in (0, -1, 10):
             with pytest.raises(ValueError):
                 list(enumerate_permutations(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_per_letter_source_matches_flat_enumeration(self, n):
+        expected = list(reference.lex_permutations(n))
+        spans = [w for first in range(1, n + 1) for w in oracle._permutations_from(n, first)]
+        assert spans == expected
+        assert list(enumerate_permutations(n)) == expected
 
 
 class TestEnumerateGridDiagrams:
@@ -86,12 +104,7 @@ class TestVerifyCharacterizations:
         assert len(set(report.counts.values())) == 1
 
     def test_determinism_modulo_elapsed(self):
-        def strip(report):
-            obj = report.to_json_obj()
-            obj.pop("elapsed_ms")
-            return json.dumps(obj, sort_keys=True)
-
-        assert strip(verify_characterizations(2, 2)) == strip(
+        assert _without_elapsed(verify_characterizations(2, 2)) == _without_elapsed(
             verify_characterizations(2, 2)
         )
 
@@ -185,7 +198,7 @@ class TestAgainstIndependentGroundTruth:
 
 
 class TestJobsClamp:
-    """``jobs`` is capped at the CPU count and the diagram count; no process is started."""
+    """``jobs`` is capped at the CPU count and the span count; no process is started."""
 
     @pytest.mark.parametrize(
         "jobs, cpus, grid, workers",
@@ -197,26 +210,83 @@ class TestJobsClamp:
             (1, 8, (2, 2), []),
         ],
     )
-    def test_worker_count(self, monkeypatch, jobs, cpus, grid, workers):
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(oracle.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_worker_count(self, monkeypatch, in_process_pool, jobs, cpus, grid, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         split = verify_characterizations(*grid, jobs=jobs)
-        assert started == workers
+        assert in_process_pool == workers
         single = verify_characterizations(*grid, jobs=1)
         assert (split.counts, split.examined) == (single.counts, single.examined)
         assert split.counterexamples == single.counterexamples
+
+    # One span per first letter, so at most n workers; one pool per sweep.
+    @pytest.mark.parametrize(
+        "jobs, cpus, n, workers",
+        [
+            (100000, 2, 5, [2, 2]),
+            (100000, None, 5, []),
+            (100000, 64, 3, [3, 3]),
+            (4, 8, 5, [4, 4]),
+            (100000, 64, 1, []),
+            (1, 8, 4, []),
+        ],
+    )
+    def test_permutation_worker_count(self, monkeypatch, in_process_pool, jobs, cpus, n, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        split = [verify_lehmer_bijection(n, jobs=jobs), verify_rothe_properties(n, jobs=jobs)]
+        assert in_process_pool == workers
+        single = [verify_lehmer_bijection(n), verify_rothe_properties(n)]
+        assert list(map(_without_elapsed, split)) == list(map(_without_elapsed, single))
+
+
+class TestMerge:
+    """The merged report is the same for every ``jobs``: found entries are capped once."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_property_failures_capped_in_lexicographic_order(
+        self, monkeypatch, in_process_pool, jobs
+    ):
+        failing = [SimpleNamespace(rule="dot", holds=False)]
+        monkeypatch.setattr(oracle, "classify", lambda diagram: failing)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = verify_rothe_properties(6, jobs=jobs)
+        first = islice(reference.lex_permutations(6), oracle.COUNTEREXAMPLE_CAP)
+        assert report.failures == tuple({"permutation": str(w), "rule": "dot"} for w in first)
+        assert (report.checked, report.failure_total) == (720, 720)
+        assert in_process_pool == ([2] if jobs == 2 else [])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lehmer_failures_capped_in_lexicographic_order(
+        self, monkeypatch, in_process_pool, jobs
+    ):
+        # Every diagram but the identity's is nonempty, so 719 builds fail.
+        monkeypatch.setattr(oracle, "build_from_row_counts", lambda code: Diagram())
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = verify_lehmer_bijection(6, jobs=jobs)
+        rest = islice(reference.lex_permutations(6), 1, 1 + oracle.COUNTEREXAMPLE_CAP)
+        assert report.failures == tuple({"permutation": str(w), "stage": "build"} for w in rest)
+        assert (report.checked, report.failure_total) == (720, 719)
+        assert in_process_pool == ([2] if jobs == 2 else [])
+
+    def test_reports_identical_across_processes(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for sweep, bound in [
+            (verify_characterizations, (3, 3)),
+            (verify_lehmer_bijection, (6,)),
+            (verify_rothe_properties, (6,)),
+        ]:
+            single = sweep(*bound, jobs=1)
+            split = sweep(*bound, jobs=2)
+            assert _without_elapsed(single) == _without_elapsed(split)
+
+
+def test_verify_at_one_job_loads_no_process_pool():
+    probe = """
+import contextlib, io, sys
+import rothe.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = rothe.cli.main(["verify", "--jobs", "1"])
+loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+print(code, loaded)
+"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.stdout.strip() == "0 []", done.stderr

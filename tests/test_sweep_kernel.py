@@ -12,6 +12,8 @@ patched to disagree on chosen masks.
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from functools import cache
 from itertools import product
@@ -185,3 +187,20 @@ def test_counterexamples_are_capped_and_counted_in_full(monkeypatch):
     expected = sorted((_entry(3, 3, mask) for mask in kept), key=lambda ce: ce["cells"])
     assert list(report.counterexamples) == expected
     assert len(report.counterexamples) == oracle.COUNTEREXAMPLE_CAP
+
+
+def test_capped_counterexamples_do_not_depend_on_jobs(monkeypatch, in_process_pool):
+    # 74 disagreements, spread over every span; the first ten in mask order are kept.
+    chosen = range(0, 512, 7)
+    _disagree_on(monkeypatch, set(chosen))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    single = verify_characterizations(3, 3, jobs=1)
+    split = verify_characterizations(3, 3, jobs=2)
+    assert in_process_pool == [2]
+    kept = chosen[: oracle.COUNTEREXAMPLE_CAP]
+    expected = sorted((_entry(3, 3, mask) for mask in kept), key=lambda ce: ce["cells"])
+    for report in (single, split):
+        assert list(report.counterexamples) == expected
+        assert report.counterexample_total == len(chosen)
+    shown = [{**report.to_json_obj(), "elapsed_ms": 0} for report in (single, split)]
+    assert json.dumps(shown[0]) == json.dumps(shown[1])
